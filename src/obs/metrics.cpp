@@ -55,12 +55,26 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   }
 }
 
-void Histogram::record(double value) noexcept {
+std::size_t Histogram::bucket_of(double value) const noexcept {
+  // NaN compares false against every bound, so lower_bound would place it
+  // in bucket 0; it belongs with the out-of-range values instead.
+  if (std::isnan(value)) return bounds_.size();
   // Inclusive upper bounds (Prometheus `le` convention): value lands in the
   // first bucket whose bound is >= value.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  return static_cast<std::size_t>(it - bounds_.begin());
+}
+
+void Histogram::record(double value) noexcept {
+  counts_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void Histogram::add_counts(const std::uint64_t* counts) noexcept {
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts[i] != 0) {
+      counts_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    }
+  }
 }
 
 std::uint64_t Histogram::count_in_bucket(std::size_t i) const {

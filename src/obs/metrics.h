@@ -90,6 +90,14 @@ class Histogram {
 
   void record(double value) noexcept;
 
+  /// The bucket record(value) counts into: the first bucket whose bound is
+  /// >= value, else the overflow bucket (also for NaN).
+  std::size_t bucket_of(double value) const noexcept;
+
+  /// Adds counts[i] to bucket i for every i < bucket_count(): publishes a
+  /// tally kept outside the histogram in one pass.
+  void add_counts(const std::uint64_t* counts) noexcept;
+
   const std::vector<double>& upper_bounds() const noexcept { return bounds_; }
   std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::uint64_t count_in_bucket(std::size_t i) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "obs/trace.h"
 #include "util/hash.h"
@@ -120,14 +121,8 @@ void FleetEngine::unregister_host(HostHandle handle) {
   detail::require(handle < routes_.size() && routes_[handle].live,
                   "unknown host handle");
   Route& route = routes_[handle];
-  shards_[route.shard]->remove_host(route.slot);
+  names_.erase(shards_[route.shard]->remove_host(route.slot));
   route.live = false;
-  for (auto it = names_.begin(); it != names_.end(); ++it) {
-    if (it->second == handle) {
-      names_.erase(it);
-      break;
-    }
-  }
   hosts_gauge_->add(-1);
 }
 
@@ -274,9 +269,15 @@ std::vector<mgmt::HotspotRisk> FleetEngine::hotspot_scan(
   for (auto& rows : per_shard) {
     for (auto& row : rows) risks.push_back(std::move(row));
   }
+  // A total order even when a forecast is NaN (a NaN reading poisons γ):
+  // numeric rows hottest first, NaN rows after all of them, host id
+  // ascending within each group.
   std::sort(risks.begin(), risks.end(),
             [](const mgmt::HotspotRisk& a, const mgmt::HotspotRisk& b) {
-              if (a.forecast_c != b.forecast_c) {
+              const bool a_nan = std::isnan(a.forecast_c);
+              const bool b_nan = std::isnan(b.forecast_c);
+              if (a_nan != b_nan) return b_nan;
+              if (!a_nan && a.forecast_c != b.forecast_c) {
                 return a.forecast_c > b.forecast_c;
               }
               return a.host_id < b.host_id;

@@ -102,7 +102,8 @@ class FleetEngine {
       const std::vector<ForecastRequest>& requests) const;
 
   /// Fleet-wide risk scan, parallel over shards. Rows sorted hottest
-  /// first, host id ascending on ties (deterministic merge).
+  /// first, host id ascending on ties; rows with a NaN forecast come last,
+  /// by host id (deterministic merge).
   std::vector<mgmt::HotspotRisk> hotspot_scan(double horizon_s,
                                               double threshold_c) const;
 
@@ -125,6 +126,8 @@ class FleetEngine {
   /// report is deterministic at any shard/thread count once flushed.
   obs::FleetAccuracyStats accuracy_report() const;
 
+  /// Per-event counts are published per drain chunk: exact after flush(),
+  /// at most one chunk per shard behind while a drain is running.
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
   const core::StableTemperaturePredictor& stable_predictor() const noexcept {

@@ -21,7 +21,10 @@ Shard::Shard(const core::StableTemperaturePredictor* predictor,
     : predictor_(predictor),
       options_(options),
       metrics_(metrics),
-      psi_cache_(options->psi_cache_capacity) {}
+      psi_cache_(options->psi_cache_capacity) {
+  tally_.abs_error_buckets.assign(
+      metrics_.calibration_abs_error_c->bucket_count(), 0);
+}
 
 double Shard::psi_stable(const mgmt::MonitoredConfig& config) {
   VMTHERM_SPAN("serve.featurize", "serve");
@@ -30,15 +33,33 @@ double Shard::psi_stable(const mgmt::MonitoredConfig& config) {
                                                  config.env_temp_c),
                         psi_scratch_.features);
   if (const double* hit = psi_cache_.find(psi_scratch_.features)) {
-    metrics_.psi_cache_hits->add(1);
+    ++tally_.psi_cache_hits;
     return *hit;
   }
-  metrics_.psi_cache_misses->add(1);
+  ++tally_.psi_cache_misses;
   VMTHERM_SPAN("serve.psi_predict", "serve");
   const double psi = predictor_->predict_from_features(psi_scratch_.features,
                                                        psi_scratch_.scaled);
   psi_cache_.insert(psi_scratch_.features, psi);
   return psi;
+}
+
+void Shard::publish_tally() {
+  const auto publish = [](Counter* counter, std::uint64_t& count) {
+    if (count == 0) return;
+    counter->add(count);
+    count = 0;
+  };
+  publish(metrics_.observe_applied, tally_.observe_applied);
+  publish(metrics_.config_applied, tally_.config_applied);
+  publish(metrics_.apply_errors, tally_.apply_errors);
+  publish(metrics_.drift_signals, tally_.drift_signals);
+  publish(metrics_.psi_cache_hits, tally_.psi_cache_hits);
+  publish(metrics_.psi_cache_misses, tally_.psi_cache_misses);
+  metrics_.calibration_abs_error_c->add_counts(
+      tally_.abs_error_buckets.data());
+  std::fill(tally_.abs_error_buckets.begin(), tally_.abs_error_buckets.end(),
+            0);
 }
 
 std::uint32_t Shard::add_host(std::string host_id,
@@ -59,6 +80,7 @@ std::uint32_t Shard::add_host(std::string host_id,
   host.tracker.begin(t0, measured_c, psi);
   hosts_.push_back(std::move(host));
   ++live_count_;
+  publish_tally();
   return static_cast<std::uint32_t>(hosts_.size() - 1);
 }
 
@@ -81,12 +103,13 @@ std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
   return static_cast<std::uint32_t>(hosts_.size() - 1);
 }
 
-void Shard::remove_host(std::uint32_t slot) {
+std::string Shard::remove_host(std::uint32_t slot) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   detail::require(slot < hosts_.size() && hosts_[slot].live,
                   "shard slot is not live");
   hosts_[slot].live = false;
   --live_count_;
+  return std::move(hosts_[slot].host_id);
 }
 
 std::size_t Shard::live_host_count() const {
@@ -176,6 +199,7 @@ void Shard::drain_until_empty() {
       {
         std::lock_guard<std::mutex> lock(state_mutex_);
         for (std::size_t i = begin; i < end; ++i) apply(run.events[i]);
+        publish_tally();
       }
       const auto elapsed =
           std::chrono::steady_clock::now() -  // vmtherm-lint: allow(det-clock)
@@ -188,7 +212,7 @@ void Shard::drain_until_empty() {
 
 void Shard::apply(const QueuedEvent& event) {
   if (event.slot >= hosts_.size() || !hosts_[event.slot].live) {
-    metrics_.apply_errors->add(1);
+    ++tally_.apply_errors;
     return;
   }
   HostState& host = hosts_[event.slot];
@@ -201,11 +225,12 @@ void Shard::apply(const QueuedEvent& event) {
         const double predicted = host.tracker.predict_at(event.time_s);
         const double residual = event.measured_c - predicted;
         host.residuals.add(residual);
-        metrics_.calibration_abs_error_c->record(std::abs(residual));
+        ++tally_.abs_error_buckets[metrics_.calibration_abs_error_c->bucket_of(
+            std::abs(residual))];
         const bool was_drifted = host.drift.drifted();
         host.drift.observe(residual);
         if (!was_drifted && host.drift.drifted()) {
-          metrics_.drift_signals->add(1);
+          ++tally_.drift_signals;
         }
         // Eq. 6 calibration update (covered by the serve.observe span —
         // one span per applied event keeps disabled-tracer cost < 1% of
@@ -213,7 +238,7 @@ void Shard::apply(const QueuedEvent& event) {
         host.tracker.observe(event.time_s, event.measured_c);
         // The Eq. 5 error and the Eq. 6 γ it produced, for serve-stats.
         host.accuracy.record(residual, host.tracker.calibration());
-        metrics_.observe_applied->add(1);
+        ++tally_.observe_applied;
         break;
       }
       case TelemetryEvent::Type::kUpdateConfig: {
@@ -224,14 +249,14 @@ void Shard::apply(const QueuedEvent& event) {
         host.config = *event.config;
         const double psi = psi_stable(host.config);
         host.tracker.retarget(event.time_s, event.measured_c, psi);
-        metrics_.config_applied->add(1);
+        ++tally_.config_applied;
         break;
       }
     }
   } catch (const Error&) {
     // Async path: producers are long gone, so malformed events (time going
     // backwards, invalid configs) are counted, never thrown.
-    metrics_.apply_errors->add(1);
+    ++tally_.apply_errors;
   }
 }
 

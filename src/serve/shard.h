@@ -10,8 +10,13 @@
 //  * At most one drainer is active per shard at any time (drain_active_),
 //    so events apply strictly in queue order — this is what preserves
 //    per-host event ordering while different shards drain in parallel.
-//  * state_mutex_ guards the host table; the drainer takes it per chunk,
-//    synchronous reads (forecast, scans, snapshot export) take it briefly.
+//  * state_mutex_ guards the host table and the shard's metric tally; the
+//    drainer takes it per chunk, synchronous reads (forecast, scans,
+//    snapshot export) take it briefly.
+//  * Per-event metrics are counted into the tally, not the shared
+//    registry, and published once per drain chunk and at the end of
+//    add_host, so drainers of different shards write no shared cache line
+//    per event.
 //
 // Shards are engine-internal: FleetEngine owns slot assignment and
 // validates handles before events reach a shard.
@@ -34,8 +39,13 @@
 
 namespace vmtherm::serve {
 
-/// Metric handles shared by every shard of one engine (all updates are
-/// atomic; the engine registers these once at construction).
+/// Metric handles shared by every shard of one engine; the engine registers
+/// these once at construction. Per-run and per-chunk metrics (ingested,
+/// dropped, queue_high_water, drain_batch_us) are updated directly. The
+/// per-event ones (applied, errors, drift, ψ cache, calibration error) are
+/// tallied per shard under its state lock and added here once per drain
+/// chunk, so they are exact after a flush and lag by at most one chunk per
+/// shard mid-drain.
 struct ShardMetrics {
   Counter* ingested = nullptr;       ///< events accepted into a queue
   Counter* dropped = nullptr;        ///< events rejected (kDropNewest)
@@ -91,9 +101,9 @@ class Shard {
   /// Restores a host from a snapshot (exact tracker state, no begin()).
   std::uint32_t import_host(const HostSnapshot& snapshot);
 
-  /// Tombstones a slot; queued events addressed to it count as apply
-  /// errors.
-  void remove_host(std::uint32_t slot);
+  /// Tombstones a slot and returns the removed host's id; queued events
+  /// addressed to it count as apply errors.
+  std::string remove_host(std::uint32_t slot);
 
   std::size_t live_host_count() const;
 
@@ -143,6 +153,19 @@ class Shard {
     bool live = false;
   };
 
+  /// Per-event metric increments not yet added to the registry. Plain
+  /// integers: every bump happens under state_mutex_.
+  struct Tally {
+    std::uint64_t observe_applied = 0;
+    std::uint64_t config_applied = 0;
+    std::uint64_t apply_errors = 0;
+    std::uint64_t drift_signals = 0;
+    std::uint64_t psi_cache_hits = 0;
+    std::uint64_t psi_cache_misses = 0;
+    /// calibration_abs_error_c buckets, sized from the registry histogram.
+    std::vector<std::uint64_t> abs_error_buckets;
+  };
+
   /// Drains queue chunks until the queue is empty; requires the caller to
   /// have claimed drain_active_. Clears the claim and notifies flushers
   /// before returning. noexcept-in-effect: event errors are counted, never
@@ -157,18 +180,24 @@ class Shard {
   /// allocation). Requires state_mutex_ to be held.
   double psi_stable(const mgmt::MonitoredConfig& config);
 
+  /// Adds the tally into the registry metrics and zeroes it. Requires
+  /// state_mutex_ to be held.
+  void publish_tally();
+
   const core::StableTemperaturePredictor* predictor_;
   const FleetEngineOptions* options_;
   ShardMetrics metrics_;
 
-  /// guards: hosts_/live_count_/psi_cache_/psi_scratch_ — held per drain
-  /// chunk by the drainer, briefly by synchronous readers (forecast,
-  /// snapshot).
+  /// Held per drain chunk by the drainer, briefly by synchronous readers
+  /// (forecast, snapshot). tally_ is published before the lock is released
+  /// after every drain chunk and every add_host.
+  /// guards: hosts_/live_count_/psi_cache_/psi_scratch_/tally_
   mutable std::mutex state_mutex_;
   std::vector<HostState> hosts_;  ///< indexed by slot; tombstoned when !live
   std::size_t live_count_ = 0;
   PsiStableCache psi_cache_;            ///< running condition -> ψ_stable
   core::StablePredictScratch psi_scratch_;  ///< reused featurization buffers
+  Tally tally_;
 
   /// guards: queue_/queued_events_/drain_active_ (producer/drainer handoff).
   std::mutex queue_mutex_;

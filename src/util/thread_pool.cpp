@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 namespace vmtherm::util {
 
@@ -54,24 +53,26 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     std::size_t first_error_index;
     std::exception_ptr first_error;
   };
-  const auto state = std::make_shared<LoopState>();
-  state->next.store(begin, std::memory_order_relaxed);
-  state->first_error_index = end;
+  LoopState state;
+  state.next.store(begin, std::memory_order_relaxed);
+  state.first_error_index = end;
 
-  // `body` is captured by reference: parallel_for only returns after every
-  // helper task has fully executed, so the reference cannot dangle.
-  const auto run = [state, end, &body]() noexcept {
+  // `state` and `body` are captured by reference: parallel_for only returns
+  // after every helper has made its last access to them, so the references
+  // cannot dangle. Owning `state` here (not in the helper tasks) also means
+  // the loop's exception is released on the calling thread that rethrew it.
+  const auto run = [&state, end, &body]() noexcept {
     for (;;) {
-      const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= end) return;
       try {
         body(i);
       } catch (...) {
-        state->failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(state->error_mutex);
-        if (i < state->first_error_index) {
-          state->first_error_index = i;
-          state->first_error = std::current_exception();
+        state.failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(state.error_mutex);
+        if (i < state.first_error_index) {
+          state.first_error_index = i;
+          state.first_error = std::current_exception();
         }
       }
     }
@@ -81,14 +82,14 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t h = 0; h < helpers; ++h) {
-      queue_.emplace_back([this, state, run] {
+      queue_.emplace_back([this, &state, run] {
         run();
         {
           // Publish under the queue mutex so the waiting thread cannot
           // check its predicate and sleep between the increment and the
           // notify (lost wakeup).
           std::lock_guard<std::mutex> notify_lock(mutex_);
-          state->helpers_done.fetch_add(1, std::memory_order_release);
+          state.helpers_done.fetch_add(1, std::memory_order_release);
         }
         work_available_.notify_all();
       });
@@ -103,15 +104,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // nested ones) instead of blocking. This is what makes nested
   // parallel_for deadlock-free: a thread waiting on a loop never idles
   // while runnable work exists.
-  while (state->helpers_done.load(std::memory_order_acquire) < helpers) {
+  while (state.helpers_done.load(std::memory_order_acquire) < helpers) {
     std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(lock, [&] {
         return !queue_.empty() ||
-               state->helpers_done.load(std::memory_order_acquire) >= helpers;
+               state.helpers_done.load(std::memory_order_acquire) >= helpers;
       });
-      if (state->helpers_done.load(std::memory_order_acquire) >= helpers) {
+      if (state.helpers_done.load(std::memory_order_acquire) >= helpers) {
         break;
       }
       task = std::move(queue_.front());
@@ -120,8 +121,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     task();
   }
 
-  if (state->failed.load(std::memory_order_relaxed)) {
-    std::rethrow_exception(state->first_error);
+  if (state.failed.load(std::memory_order_relaxed)) {
+    std::rethrow_exception(state.first_error);
   }
 }
 

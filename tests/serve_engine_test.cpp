@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "serve/snapshot.h"
 
 namespace vmtherm::serve {
 namespace {
@@ -98,6 +102,36 @@ TEST(FleetEngineTest, RegisterQueryUnregister) {
   EXPECT_EQ(engine.handle_of("h1"), kInvalidHostHandle);
   EXPECT_THROW((void)engine.forecast(h1, 60.0), ConfigError);
   EXPECT_EQ(engine.metrics().gauge("fleet.hosts").value(), 0);
+}
+
+TEST(FleetEngineTest, ReRegisterAfterUnregister) {
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    FleetEngine engine(shared_predictor(), manual_options(shards));
+    std::vector<HostHandle> handles;
+    for (int i = 0; i < 6; ++i) {
+      handles.push_back(engine.register_host("host-" + std::to_string(i),
+                                             busy_config(), 0.0, 23.0));
+    }
+    EXPECT_EQ(engine.host_count(), 6u);
+
+    engine.unregister_host(handles[2]);
+    EXPECT_EQ(engine.host_count(), 5u);
+    EXPECT_EQ(engine.handle_of("host-2"), kInvalidHostHandle);
+    // Its neighbours keep their handles.
+    EXPECT_EQ(engine.handle_of("host-1"), handles[1]);
+    EXPECT_EQ(engine.handle_of("host-3"), handles[3]);
+    EXPECT_THROW(engine.unregister_host(handles[2]), ConfigError);
+
+    const HostHandle again =
+        engine.register_host("host-2", idle_config(), 0.0, 23.0);
+    EXPECT_NE(again, handles[2]);
+    EXPECT_EQ(engine.handle_of("host-2"), again);
+    EXPECT_EQ(engine.host_count(), 6u);
+    EXPECT_EQ(engine.config_of(again).vms.size(), 1u);
+    EXPECT_THROW((void)engine.forecast(handles[2], 60.0), ConfigError);
+    EXPECT_EQ(engine.metrics().gauge("fleet.hosts").value(), 6);
+  }
 }
 
 TEST(FleetEngineTest, ShardAssignmentIsStable) {
@@ -239,6 +273,158 @@ TEST(FleetEngineTest, HotspotScanSortedAndDeterministic) {
   EXPECT_TRUE(risks.front().at_risk);
   EXPECT_FALSE(risks.back().at_risk);
   EXPECT_EQ(engine.metrics().counter("hotspot.scans").value(), 1u);
+}
+
+TEST(FleetEngineTest, HotspotScanOrdersNanForecastsLast) {
+  // One NaN reading on a Δ_update step makes that host's γ, and so its
+  // forecast, NaN. The scan must still be a total order: finite rows
+  // hottest first, NaN rows after them, host id ascending within each.
+  std::vector<std::vector<mgmt::HotspotRisk>> scans;
+  for (const std::size_t shards : {1u, 4u}) {
+    FleetEngine engine(shared_predictor(), manual_options(shards));
+    std::vector<HostHandle> handles;
+    for (int i = 0; i < 12; ++i) {
+      handles.push_back(engine.register_host(
+          "host-" + std::to_string(i), i % 2 == 0 ? busy_config()
+                                                  : idle_config(),
+          0.0, 23.0));
+    }
+    std::vector<TelemetryEvent> batch;
+    for (int i = 0; i < 12; ++i) {
+      const double measured = i % 3 == 1
+                                  ? std::numeric_limits<double>::quiet_NaN()
+                                  : 30.0 + i;
+      batch.push_back(TelemetryEvent::observe(handles[i], 15.0, measured));
+    }
+    engine.ingest_batch(std::move(batch));
+    engine.flush();
+    ASSERT_TRUE(std::isnan(engine.forecast(handles[1], 60.0)));
+    scans.push_back(engine.hotspot_scan(60.0, 40.0));
+  }
+
+  const std::vector<mgmt::HotspotRisk>& rows = scans[0];
+  ASSERT_EQ(rows.size(), 12u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_FALSE(std::isnan(rows[i].forecast_c));
+    if (i > 0) {
+      EXPECT_GE(rows[i - 1].forecast_c, rows[i].forecast_c);
+    }
+  }
+  const std::vector<std::string> nan_ids = {"host-1", "host-10", "host-4",
+                                            "host-7"};
+  for (std::size_t i = 0; i < nan_ids.size(); ++i) {
+    EXPECT_EQ(rows[8 + i].host_id, nan_ids[i]);
+    EXPECT_TRUE(std::isnan(rows[8 + i].forecast_c));
+  }
+  ASSERT_EQ(scans[1].size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(scans[1][i].host_id, rows[i].host_id);
+  }
+}
+
+// The per-event metrics (apply.*, drift.signals, psi_cache.*, the
+// calibration.abs_error_c buckets) are tallied per shard and published per
+// drain chunk. This stream touches every one of them; after flush() the
+// deterministic metrics must match the golden document below (captured
+// when every event updated the registry directly) at any topology.
+constexpr const char* kTallyGoldenJson =
+    "{\"counters\":{\"apply.config_update\":3,\"apply.errors\":2,"
+    "\"apply.observe\":453,\"drift.signals\":7,\"forecast.requests\":0,"
+    "\"hotspot.scans\":0,\"ingest.batches\":64,\"ingest.dropped\":0,"
+    "\"ingest.events\":458},\"gauges\":{\"fleet.hosts\":7},"
+    "\"histograms\":{\"calibration.abs_error_c\":{\"bounds\":[0.25,0.5,1,"
+    "2,4,8],\"counts\":[218,72,63,48,31,15,7],\"total\":454,"
+    "\"p50\":0.28125,\"p99\":8}}}";
+
+std::uint64_t psi_lookups(FleetEngine& engine) {
+  MetricsRegistry& registry = engine.metrics();
+  return registry.counter("psi_cache.hits", MetricKind::kTiming).value() +
+         registry.counter("psi_cache.misses", MetricKind::kTiming).value();
+}
+
+std::string metric_lines(const std::string& snapshot) {
+  return snapshot.substr(snapshot.find("\nmetrics "));
+}
+
+TEST(FleetEngineTest, PerEventMetricsExactAfterFlushAtAnyTopology) {
+  FleetEngineOptions manual = manual_options(1);
+  FleetEngineOptions pooled;
+  pooled.shards = 4;
+  pooled.threads = 2;
+  pooled.drain = DrainMode::kAuto;
+
+  std::vector<std::string> final_json;
+  std::vector<std::string> mid_snapshots;
+  for (const FleetEngineOptions& options : {manual, pooled}) {
+    SCOPED_TRACE(options.shards);
+    FleetEngine engine(shared_predictor(), options);
+    std::vector<HostHandle> handles;
+    for (int i = 0; i < 8; ++i) {
+      handles.push_back(engine.register_host(
+          "tally-" + std::to_string(i),
+          i % 2 == 0 ? busy_config() : idle_config(), 0.0, 22.0 + i));
+      // Registration's ψ lookup is published before register_host returns.
+      EXPECT_EQ(psi_lookups(engine), handles.size());
+    }
+
+    // Observes. Host 0 jumps far above its forecast; CUSUM latches on
+    // seven hosts in all.
+    for (int step = 1; step <= 40; ++step) {
+      std::vector<TelemetryEvent> batch;
+      for (int i = 0; i < 8; ++i) {
+        const double measured =
+            i == 0 && step >= 30 ? 95.0 : 25.0 + i + 0.3 * step;
+        batch.push_back(
+            TelemetryEvent::observe(handles[i], step * 15.0, measured));
+      }
+      engine.ingest_batch(std::move(batch));
+    }
+    // Config updates: a condition already cached and a fresh one.
+    mgmt::MonitoredConfig hot = busy_config();
+    hot.env_temp_c = 31.0;
+    engine.ingest(
+        TelemetryEvent::update_config(handles[1], 615.0, 40.0, busy_config()));
+    engine.ingest(TelemetryEvent::update_config(handles[2], 615.0, 45.0, hot));
+    engine.ingest(
+        TelemetryEvent::update_config(handles[3], 615.0, 41.0, idle_config()));
+    // Time going backwards: the residual is scored, then the tracker throws.
+    engine.ingest(TelemetryEvent::observe(handles[4], 5.0, 30.0));
+
+    std::ostringstream mid;
+    save_fleet(mid, engine);
+    mid_snapshots.push_back(mid.str());
+    EXPECT_NE(mid.str().find("counter apply.observe 320\n"),
+              std::string::npos);
+    EXPECT_NE(mid.str().find("counter apply.config_update 3\n"),
+              std::string::npos);
+    EXPECT_NE(mid.str().find("counter apply.errors 1\n"), std::string::npos);
+    EXPECT_NE(mid.str().find("counter drift.signals 7\n"), std::string::npos);
+
+    // An update whose payload is invalid, racing with its host's removal:
+    // either way it lands in apply.errors and nowhere else.
+    mgmt::MonitoredConfig broken = busy_config();
+    broken.server.physical_cores = 0;
+    engine.ingest(
+        TelemetryEvent::update_config(handles[5], 630.0, 40.0, broken));
+    engine.unregister_host(handles[5]);
+
+    for (int step = 42; step <= 60; ++step) {
+      std::vector<TelemetryEvent> batch;
+      for (int i = 0; i < 8; ++i) {
+        if (i == 5) continue;
+        batch.push_back(TelemetryEvent::observe(handles[i], step * 15.0,
+                                                26.0 + i + 0.2 * step));
+      }
+      engine.ingest_batch(std::move(batch));
+    }
+    engine.flush();
+    final_json.push_back(engine.metrics().to_json(/*include_timing=*/false));
+    EXPECT_EQ(engine.metrics().counter("apply.errors").value(), 2u);
+    EXPECT_EQ(psi_lookups(engine), 8u + 3u);
+  }
+  EXPECT_EQ(metric_lines(mid_snapshots[0]), metric_lines(mid_snapshots[1]));
+  EXPECT_EQ(final_json[0], final_json[1]);
+  EXPECT_EQ(final_json[0], kTallyGoldenJson);
 }
 
 TEST(FleetEngineTest, DeterministicAcrossShardAndThreadCounts) {

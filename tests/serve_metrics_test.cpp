@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -50,6 +52,54 @@ TEST(MetricsTest, HistogramBucketsAndOverflow) {
   EXPECT_EQ(hist.count_in_bucket(2), 1u);
   EXPECT_EQ(hist.count_in_bucket(3), 1u);
   EXPECT_EQ(hist.total_count(), 5u);
+}
+
+TEST(MetricsTest, HistogramBucketOfMatchesRecord) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.25, 0.5, 1.0, 2.0, 4.0, 8.0,  // on each bound
+      0.1, 0.3, 0.75, 1.5, 3.0, 6.0,  // between bounds
+      8.5, 1e9,                       // above the last bound
+      0.0, -0.0, -1.0, inf, -inf, nan};
+  for (const double value : values) {
+    SCOPED_TRACE(value);
+    Histogram hist({0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
+    hist.record(value);
+    const std::size_t bucket = hist.bucket_of(value);
+    ASSERT_LT(bucket, hist.bucket_count());
+    EXPECT_EQ(hist.count_in_bucket(bucket), 1u);
+    EXPECT_EQ(hist.total_count(), 1u);
+  }
+  Histogram hist({0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
+  EXPECT_EQ(hist.bucket_of(0.25), 0u);  // inclusive upper bound
+  EXPECT_EQ(hist.bucket_of(0.3), 1u);
+  EXPECT_EQ(hist.bucket_of(8.0), 5u);
+  EXPECT_EQ(hist.bucket_of(8.5), 6u);
+  EXPECT_EQ(hist.bucket_of(0.0), 0u);
+  EXPECT_EQ(hist.bucket_of(-0.0), 0u);
+  EXPECT_EQ(hist.bucket_of(-inf), 0u);
+  EXPECT_EQ(hist.bucket_of(inf), 6u);
+  EXPECT_EQ(hist.bucket_of(nan), 6u);  // overflow, not bucket 0
+}
+
+TEST(MetricsTest, HistogramAddCountsEqualsRecording) {
+  const std::vector<double> values = {0.1, 0.25, 0.3, 3.0, 3.5, 9.0, 100.0,
+                                      -2.0, 0.5};
+  Histogram recorded({0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
+  Histogram tallied({0.25, 0.5, 1.0, 2.0, 4.0, 8.0});
+  std::vector<std::uint64_t> tally(tallied.bucket_count(), 0);
+  for (const double value : values) {
+    recorded.record(value);
+    ++tally[tallied.bucket_of(value)];
+  }
+  tallied.record(3.0);  // adds on top of what is already there
+  recorded.record(3.0);
+  tallied.add_counts(tally.data());
+  for (std::size_t i = 0; i < recorded.bucket_count(); ++i) {
+    EXPECT_EQ(tallied.count_in_bucket(i), recorded.count_in_bucket(i)) << i;
+  }
+  EXPECT_EQ(tallied.total_count(), values.size() + 1);
 }
 
 TEST(MetricsTest, HistogramQuantiles) {
