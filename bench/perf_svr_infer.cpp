@@ -3,7 +3,10 @@
 // Batched SVR inference throughput: the packed SvrInference engine vs. a
 // scalar reference that replays the pre-engine code path (per-SV
 // kernel_eval over ragged vector<vector<double>> storage plus libm exp).
-// Emits machine-readable JSON (BENCH_svr_infer.json) next to the
+// It also times the engine one query at a time (predict(), a lone query)
+// against predict_batch (query tiles), and prints a digest of the batched
+// outputs' bits, so two builds can be checked to compute identical
+// results. Emits machine-readable JSON (BENCH_svr_infer.json) next to the
 // human-readable table.
 //
 // Methodology: the model is constructed directly from a deterministic
@@ -21,13 +24,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <bit>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ml/svr.h"
+#include "util/hash.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -113,7 +120,9 @@ double scalar_predict(const ml::KernelParams& kernel,
 struct KernelResult {
   std::string name;
   double scalar_qps = 0.0;
+  double single_qps = 0.0;   ///< engine predict(), one query at a time
   double batched_qps = 0.0;
+  std::uint64_t digest = 0;  ///< FNV-1a over the batched outputs' bits
 };
 
 struct ThreadResult {
@@ -163,9 +172,11 @@ int main(int argc, char** argv) {
     const ml::SvrModel model(kernel, svs, coefs, bias);
 
     std::vector<double> scalar_out(args.queries);
+    std::vector<double> single_out(args.queries);
     std::vector<double> batched_out(args.queries);
 
     double scalar_best_s = 0.0;
+    double single_best_s = 0.0;
     double batched_best_s = 0.0;
     for (std::size_t trial = 0; trial < args.trials; ++trial) {
       auto start = Clock::now();
@@ -177,11 +188,28 @@ int main(int argc, char** argv) {
       const double scalar_s = seconds_since(start);
 
       start = Clock::now();
+      for (std::size_t i = 0; i < args.queries; ++i) {
+        single_out[i] = model.predict(
+            std::span<const double>(queries.data() + i * args.dim, args.dim));
+      }
+      const double single_s = seconds_since(start);
+
+      start = Clock::now();
       model.predict_batch(queries, args.queries, batched_out);
       const double batched_s = seconds_since(start);
 
       if (trial == 0 || scalar_s < scalar_best_s) scalar_best_s = scalar_s;
+      if (trial == 0 || single_s < single_best_s) single_best_s = single_s;
       if (trial == 0 || batched_s < batched_best_s) batched_best_s = batched_s;
+    }
+
+    // Query tiles must not change a bit of any result.
+    if (std::memcmp(single_out.data(), batched_out.data(),
+                    args.queries * sizeof(double)) != 0) {
+      std::cerr << "DETERMINISM VIOLATION: kernel="
+                << ml::kernel_kind_name(kind)
+                << " batch differs from one-at-a-time predict\n";
+      return 1;
     }
 
     // Correctness gate: the packed engine must agree with the pre-engine
@@ -200,7 +228,13 @@ int main(int argc, char** argv) {
     KernelResult r;
     r.name = std::string(ml::kernel_kind_name(kind));
     r.scalar_qps = static_cast<double>(args.queries) / scalar_best_s;
+    r.single_qps = static_cast<double>(args.queries) / single_best_s;
     r.batched_qps = static_cast<double>(args.queries) / batched_best_s;
+    r.digest = vmtherm::util::kFnv1a64Offset;
+    for (const double v : batched_out) {
+      r.digest = vmtherm::util::fnv1a64_mix(r.digest,
+                                            std::bit_cast<std::uint64_t>(v));
+    }
     kernel_results.push_back(r);
 
     if (kind == ml::KernelKind::kRbf) {
@@ -229,11 +263,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  vmtherm::Table table({"kernel", "scalar_q_s", "batched_q_s", "speedup"});
+  const auto hex = [](std::uint64_t v) {
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0') << v;
+    return os.str();
+  };
+  vmtherm::Table table({"kernel", "scalar_q_s", "single_us", "batched_us",
+                        "speedup", "digest"});
   for (const KernelResult& r : kernel_results) {
     table.add_row({r.name, vmtherm::Table::num(r.scalar_qps, 0),
-                   vmtherm::Table::num(r.batched_qps, 0),
-                   vmtherm::Table::num(r.batched_qps / r.scalar_qps, 2)});
+                   vmtherm::Table::num(1e6 / r.single_qps, 3),
+                   vmtherm::Table::num(1e6 / r.batched_qps, 3),
+                   vmtherm::Table::num(r.batched_qps / r.scalar_qps, 2),
+                   hex(r.digest)});
   }
   table.print(std::cout);
 
@@ -262,8 +304,10 @@ int main(int argc, char** argv) {
     if (i > 0) json << ",";
     json << "{\"kernel\":\"" << r.name
          << "\",\"scalar_queries_per_sec\":" << r.scalar_qps
+         << ",\"single_queries_per_sec\":" << r.single_qps
          << ",\"batched_queries_per_sec\":" << r.batched_qps
-         << ",\"speedup\":" << r.batched_qps / r.scalar_qps << "}";
+         << ",\"speedup\":" << r.batched_qps / r.scalar_qps
+         << ",\"output_digest\":\"" << hex(r.digest) << "\"}";
   }
   json << "],\"rbf_thread_sweep\":[";
   for (std::size_t i = 0; i < thread_results.size(); ++i) {

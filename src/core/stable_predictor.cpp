@@ -52,16 +52,26 @@ double StableTemperaturePredictor::predict(const Record& record) const {
   return model_.predict(x);
 }
 
-double StableTemperaturePredictor::predict(const Record& record,
-                                           StablePredictScratch& scratch) const {
-  encode_features(record, scratch.features);
-  return predict_from_features(scratch.features, scratch.scaled);
-}
-
 double StableTemperaturePredictor::predict_from_features(
     std::span<const double> features, std::vector<double>& scaled) const {
-  scaler_.transform_into(features, scaled);
-  return model_.predict(scaled);
+  double psi = 0.0;
+  predict_batch_from_features(features, 1, scaled,
+                              std::span<double>(&psi, 1));
+  return psi;
+}
+
+void StableTemperaturePredictor::predict_batch_from_features(
+    std::span<const double> features, std::size_t count,
+    std::vector<double>& scaled, std::span<double> out) const {
+  const std::size_t dim = scaler_.dim();
+  detail::require_data(features.size() == count * dim,
+                       "scaler input dimension mismatch");
+  scaled.resize(features.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    scaler_.transform_into(features.subspan(i * dim, dim),
+                           std::span<double>(scaled).subspan(i * dim, dim));
+  }
+  model_.predict_batch(scaled, count, out);
 }
 
 double StableTemperaturePredictor::predict(

@@ -37,13 +37,6 @@ struct StableTrainReport {
   std::size_t training_records = 0;
 };
 
-/// Reusable buffers for the allocation-free predict overloads. One scratch
-/// per caller (it is NOT thread-safe); buffers grow once and are reused.
-struct StablePredictScratch {
-  std::vector<double> features;  ///< raw Eq. (2) encoding
-  std::vector<double> scaled;    ///< min-max scaled copy fed to the SVR
-};
-
 /// A trained stable-temperature predictor.
 class StableTemperaturePredictor {
  public:
@@ -64,16 +57,21 @@ class StableTemperaturePredictor {
                  const std::vector<sim::VmConfig>& vms, int active_fans,
                  double env_temp_c) const;
 
-  /// Allocation-free variant for hot paths (serve): encodes and scales
-  /// into `scratch`, leaving the raw encoding in scratch.features —
-  /// callers key ψ_stable memoization on exactly those bits.
-  double predict(const Record& record, StablePredictScratch& scratch) const;
-
   /// Predicts from an already-encoded raw (unscaled) feature vector,
   /// scaling into `scaled`. Bitwise-identical to predict() on the record
-  /// that produced `features`.
+  /// that produced `features`. A one-row predict_batch_from_features.
   double predict_from_features(std::span<const double> features,
                                std::vector<double>& scaled) const;
+
+  /// Predicts `count` already-encoded raw feature vectors packed row-major
+  /// in `features` (count x feature dim) into out[0..count), scaling into
+  /// `scaled` (reused, grown once). Each result is bitwise-identical to
+  /// predict_from_features on that row alone, at any count; the rows run
+  /// through the SVR in query tiles. Throws DataError on extent mismatch.
+  void predict_batch_from_features(std::span<const double> features,
+                                   std::size_t count,
+                                   std::vector<double>& scaled,
+                                   std::span<double> out) const;
 
   /// Persists scaler + SVR into one directory-less two-section text file.
   void save(const std::string& path) const;

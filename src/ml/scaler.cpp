@@ -32,16 +32,17 @@ MinMaxScaler::MinMaxScaler(std::vector<double> mins, std::vector<double> maxs)
 }
 
 std::vector<double> MinMaxScaler::transform(std::span<const double> x) const {
-  std::vector<double> out;
+  std::vector<double> out(x.size());
   transform_into(x, out);
   return out;
 }
 
 void MinMaxScaler::transform_into(std::span<const double> x,
-                                  std::vector<double>& out) const {
+                                  std::span<double> out) const {
   detail::require_data(x.size() == mins_.size(),
                        "scaler input dimension mismatch");
-  out.resize(x.size());
+  detail::require_data(out.size() == x.size(),
+                       "scaler output dimension mismatch");
   for (std::size_t j = 0; j < x.size(); ++j) {
     const double span = maxs_[j] - mins_[j];
     out[j] = span > 0.0 ? -1.0 + 2.0 * (x[j] - mins_[j]) / span : 0.0;

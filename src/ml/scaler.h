@@ -33,10 +33,9 @@ class MinMaxScaler {
   /// Scales one feature vector; throws DataError on dimension mismatch.
   std::vector<double> transform(std::span<const double> x) const;
 
-  /// Allocation-free variant for hot paths: scales into `out`, reusing
-  /// its capacity. `x` and `out` must not alias.
-  void transform_into(std::span<const double> x,
-                      std::vector<double>& out) const;
+  /// Allocation-free variant for hot paths: scales into `out`, which must
+  /// have x's size. `x` and `out` must not alias.
+  void transform_into(std::span<const double> x, std::span<double> out) const;
 
   /// Scales every sample of a dataset (targets unchanged).
   Dataset transform(const Dataset& data) const;

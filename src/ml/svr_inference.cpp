@@ -16,8 +16,14 @@ namespace {
 /// one block (1 KiB) stays in L1 while the transposed rows stream through.
 constexpr std::size_t kSvBlock = 128;
 
+/// Queries evaluated together by one predict_tile pass: enough independent
+/// reduction chains to hide the add latency, few enough that the tile's
+/// dot-product scratch (8 KiB) stays in L1.
+constexpr std::size_t kQueryTile = 8;
+
 /// Queries per parallel_for task in predict_batch: large enough to
-/// amortize scheduling, small enough to balance ragged tails.
+/// amortize scheduling, small enough to balance ragged tails. A multiple
+/// of kQueryTile, so only the batch's last block has single-query tails.
 constexpr std::size_t kQueryBlock = 64;
 
 /// 2^n as a double via exponent-field construction, n in [-1022, 1023].
@@ -102,72 +108,106 @@ SvrInference::SvrInference(
   }
 }
 
-double SvrInference::predict_one(const double* x) const noexcept {
+template <std::size_t Q>
+void SvrInference::predict_tile(const double* x, double* out) const noexcept {
   const double gamma = kernel_.gamma;
   const double coef0 = kernel_.coef0;
   const int degree = kernel_.degree;
   const std::size_t dim = dim_;
 
-  double sq_x = 0.0;
-  if (kernel_.kind == KernelKind::kRbf) {
-    for (std::size_t j = 0; j < dim; ++j) sq_x += x[j] * x[j];
+  double sq_x[Q];
+  double acc[Q];
+  for (std::size_t q = 0; q < Q; ++q) {
+    sq_x[q] = 0.0;
+    if (kernel_.kind == KernelKind::kRbf) {
+      const double* xq = x + q * dim;
+      for (std::size_t j = 0; j < dim; ++j) sq_x[q] += xq[j] * xq[j];
+    }
+    acc[q] = bias_;
   }
 
-  double acc = bias_;
-  alignas(64) double dots[kSvBlock];
+  alignas(64) double dots[Q][kSvBlock];
   for (std::size_t begin = 0; begin < count_; begin += kSvBlock) {
     const std::size_t block = std::min(kSvBlock, count_ - begin);
+    // Lanes the transform touches: the block rounded up to a vector-friendly
+    // multiple of 8. Lanes at or past `block` are padding the reduction
+    // never reads, so their values do not matter.
+    const std::size_t lanes = (block + 7) / 8 * 8;
     const double* cols = packed_t_.data() + begin * dim;
 
-    // GEMV-style pass over the transposed block: each dots[k] accumulates
-    // x.s_k in ascending-j order; the k-indexed inner loop is unit-stride
-    // with a constant trip count, so it vectorizes cleanly. Padding lanes
-    // accumulate zeros.
-    for (std::size_t k = 0; k < kSvBlock; ++k) dots[k] = 0.0;
+    // GEMV-style pass over the transposed block: each dots[q][k]
+    // accumulates x_q.s_k in ascending-j order; the k-indexed inner loop
+    // is unit-stride with a constant trip count, so it vectorizes cleanly,
+    // and each transposed row is loaded once per tile rather than once per
+    // query. Padding lanes accumulate zeros.
+    for (std::size_t q = 0; q < Q; ++q) {
+      for (std::size_t k = 0; k < kSvBlock; ++k) dots[q][k] = 0.0;
+    }
     for (std::size_t j = 0; j < dim; ++j) {
-      const double xj = x[j];
       const double* col = cols + j * kSvBlock;
-      for (std::size_t k = 0; k < kSvBlock; ++k) dots[k] += xj * col[k];
-    }
-
-    // Fused kernel-transform pass (vectorizable: exp_det is branch-free).
-    // Full-width on purpose: padding lanes hold harmless finite values and
-    // are never read by the reduction below.
-    switch (kernel_.kind) {
-      case KernelKind::kLinear:
-        break;
-      case KernelKind::kPolynomial:
-        for (std::size_t k = 0; k < kSvBlock; ++k) {
-          dots[k] = pow_integer(gamma * dots[k] + coef0, degree);
-        }
-        break;
-      case KernelKind::kRbf: {
-        const double* norms = sq_norms_.data() + begin;
-        for (std::size_t k = 0; k < kSvBlock; ++k) {
-          dots[k] = exp_det_core(-gamma * (sq_x + norms[k] - 2.0 * dots[k]));
-        }
-        break;
+      for (std::size_t q = 0; q < Q; ++q) {
+        const double xj = x[q * dim + j];
+        double* d = dots[q];
+        for (std::size_t k = 0; k < kSvBlock; ++k) d[k] += xj * col[k];
       }
-      case KernelKind::kSigmoid:
-        for (std::size_t k = 0; k < kSvBlock; ++k) {
-          dots[k] = std::tanh(gamma * dots[k] + coef0);
-        }
-        break;
     }
 
-    // Coefficient reduction in fixed ascending-k order: the accumulation
-    // sequence never depends on batch shape or thread count.
+    // Kernel-transform pass per query (vectorizable: exp_det is
+    // branch-free).
+    for (std::size_t q = 0; q < Q; ++q) {
+      double* d = dots[q];
+      switch (kernel_.kind) {
+        case KernelKind::kLinear:
+          break;
+        case KernelKind::kPolynomial:
+          for (std::size_t k = 0; k < lanes; ++k) {
+            d[k] = pow_integer(gamma * d[k] + coef0, degree);
+          }
+          break;
+        case KernelKind::kRbf: {
+          const double* norms = sq_norms_.data() + begin;
+          for (std::size_t k = 0; k < lanes; ++k) {
+            d[k] = exp_det_core(-gamma * (sq_x[q] + norms[k] - 2.0 * d[k]));
+          }
+          break;
+        }
+        case KernelKind::kSigmoid:
+          for (std::size_t k = 0; k < lanes; ++k) {
+            d[k] = std::tanh(gamma * d[k] + coef0);
+          }
+          break;
+      }
+    }
+
+    // Coefficient reduction in fixed ascending-k order per query, with the
+    // Q independent accumulation chains interleaved so a tile does not
+    // wait on one serial add chain. Each query's sequence never depends on
+    // batch shape, tile position or thread count.
     const double* coefs = coefficients_.data() + begin;
-    for (std::size_t k = 0; k < block; ++k) acc += coefs[k] * dots[k];
+    for (std::size_t k = 0; k < block; ++k) {
+      for (std::size_t q = 0; q < Q; ++q) acc[q] += coefs[k] * dots[q][k];
+    }
   }
-  return acc;
+  for (std::size_t q = 0; q < Q; ++q) out[q] = acc[q];
+}
+
+void SvrInference::predict_range(const double* queries, std::size_t begin,
+                                 std::size_t end,
+                                 double* results) const noexcept {
+  std::size_t i = begin;
+  for (; i + kQueryTile <= end; i += kQueryTile) {
+    predict_tile<kQueryTile>(queries + i * dim_, results + i);
+  }
+  for (; i < end; ++i) predict_tile<1>(queries + i * dim_, results + i);
 }
 
 double SvrInference::predict(std::span<const double> x) const {
   if (count_ != 0) {
     detail::require_data(x.size() == dim_, "svr predict dimension mismatch");
   }
-  return predict_one(x.data());
+  double result;
+  predict_tile<1>(x.data(), &result);
+  return result;
 }
 
 void SvrInference::predict_batch(std::span<const double> queries,
@@ -188,18 +228,14 @@ void SvrInference::predict_batch(std::span<const double> queries,
   const double* q = queries.data();
   double* results = out.data();
   if (pool == nullptr || query_count <= kQueryBlock) {
-    for (std::size_t i = 0; i < query_count; ++i) {
-      results[i] = predict_one(q + i * dim_);
-    }
+    predict_range(q, 0, query_count, results);
     return;
   }
   const std::size_t blocks = (query_count + kQueryBlock - 1) / kQueryBlock;
   pool->parallel_for(0, blocks, [&](std::size_t b) {
     const std::size_t begin = b * kQueryBlock;
-    const std::size_t end = std::min(query_count, begin + kQueryBlock);
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = predict_one(q + i * dim_);
-    }
+    predict_range(q, begin, std::min(query_count, begin + kQueryBlock),
+                  results);
   });
 }
 

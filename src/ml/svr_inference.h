@@ -17,11 +17,16 @@
 // loop auto-vectorizes. No ragged vector<vector<double>> pointer chasing,
 // no per-query allocation.
 //
-// Determinism contract (matches the PR 1 thread-pool contract): every
-// query is evaluated by exactly the same instruction sequence — same SV
-// blocking, same fixed ascending-k reduction order, same exp_det
-// polynomial — whether it arrives through predict(), predict_batch() on
-// the calling thread, or predict_batch() sharded across a ThreadPool.
+// Batches run in tiles of several queries: each transposed block row is
+// loaded once per tile, and the tile's coefficient reductions run as
+// independent interleaved chains instead of one serial add chain.
+//
+// Determinism contract (the same one util::ThreadPool users keep): every
+// query is evaluated by exactly the same floating-point operation
+// sequence — same SV blocking, same fixed ascending-k reduction order,
+// same exp_det polynomial — whether it arrives through predict(), alone
+// or inside a query tile of predict_batch() on the calling thread, or
+// predict_batch() sharded across a ThreadPool.
 // Results are therefore bitwise-identical at any batch size and any
 // thread count. (They are NOT bitwise-identical to a naive
 // kernel_eval-summation for the RBF kernel, whose squared-distance
@@ -91,9 +96,18 @@ class SvrInference {
   }
 
  private:
-  /// Unchecked single-query kernel over the packed matrix; the one code
-  /// path every public entry point funnels through.
-  double predict_one(const double* x) const noexcept;
+  /// Unchecked kernel over the packed matrix for a tile of Q queries
+  /// stored row-major at `x`, results to out[0..Q). The one code path every
+  /// public entry point funnels through: a lone query is the Q = 1 tile.
+  /// Every query of a tile executes the same floating-point operation
+  /// sequence as it would alone, so results do not depend on Q.
+  template <std::size_t Q>
+  void predict_tile(const double* x, double* out) const noexcept;
+
+  /// Queries [begin, end) of a row-major batch: full tiles, then a tail of
+  /// single queries.
+  void predict_range(const double* queries, std::size_t begin,
+                     std::size_t end, double* results) const noexcept;
 
   KernelParams kernel_;
   std::vector<double> packed_;    ///< n_sv x dim, row-major (API view)

@@ -87,6 +87,8 @@ HostHandle FleetEngine::register_host(const std::string& host_id,
   detail::require(!host_id.empty(), "host id must be non-empty");
   detail::require(!has_whitespace(host_id),
                   "host id must not contain whitespace");
+  detail::require_data(std::isfinite(t0) && std::isfinite(measured_c),
+                       "registration time and reading must be finite");
   const auto shard = static_cast<std::uint32_t>(shard_of(host_id));
   std::unique_lock<std::shared_mutex> lock(routes_mutex_);
   detail::require(names_.find(host_id) == names_.end(),

@@ -55,7 +55,8 @@ class FleetEngine {
 
   /// Registers a host and returns its handle. Host ids must be non-empty,
   /// whitespace-free (snapshot format tokens) and unique; throws
-  /// ConfigError otherwise.
+  /// ConfigError otherwise, and DataError when t0 or measured_c is not
+  /// finite.
   HostHandle register_host(const std::string& host_id,
                            mgmt::MonitoredConfig config, double t0,
                            double measured_c);
@@ -77,7 +78,9 @@ class FleetEngine {
   // --- data plane ---------------------------------------------------------
 
   /// Enqueues one event. Throws ConfigError on an invalid handle; delivery
-  /// then follows the backpressure policy (block or drop + count).
+  /// then follows the backpressure policy (block or drop + count). An
+  /// event with a non-finite time or reading, or an invalid config, is
+  /// counted in apply.errors when it drains and leaves the host untouched.
   void ingest(TelemetryEvent event);
 
   /// Enqueues a batch: events are grouped per shard with one lock

@@ -8,8 +8,8 @@
 // config/VM set/environment therefore costs one hash probe instead of a
 // full kernel expansion over every support vector.
 //
-// Keying discipline: keys hash and compare BITWISE (FNV-1a over the
-// double bit patterns, equality over the same bits). Value semantics
+// Keying discipline: keys hash and compare BITWISE (a word-at-a-time mix
+// of the double bit patterns, equality over the same bits). Value semantics
 // would be wrong here: -0.0 == 0.0 yet the two can scale to different SVR
 // inputs downstream of a min-max range edge, and bitwise keying keeps
 // hash/equality trivially consistent.
@@ -25,6 +25,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -48,11 +49,30 @@ class PsiStableCache {
     budget_ = capacity;
   }
 
-  /// Pointer to the memoized value for `key`, or nullptr on a miss. The
-  /// pointer is invalidated by the next insert().
-  const double* find(std::span<const double> key) const noexcept {
+  /// Hash of a key's double bit patterns; pass it to find() and insert().
+  /// Mixed a 64-bit word at a time, with a mix step after every word and a
+  /// final avalanche, so keys whose low mantissa bits are all zero (the
+  /// integer-valued Eq. (2) features) still spread across the low bits
+  /// the slot mask keeps.
+  static std::uint64_t hash(std::span<const double> key) noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const double v : key) {
+      h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0xbf58476d1ce4e5b9ull;
+      h ^= h >> 32;
+    }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
+
+  /// Pointer to the memoized value for `key`, whose hash() is `h`, or
+  /// nullptr on a miss. The pointer is invalidated by the next insert().
+  const double* find(std::span<const double> key,
+                     std::uint64_t h) const noexcept {
     if (budget_ == 0) return nullptr;
-    const std::uint64_t h = hash_bits(key);
     for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
       if (!slot.used) return nullptr;
@@ -60,14 +80,14 @@ class PsiStableCache {
     }
   }
 
-  /// Memoizes `value` for `key`. On reaching the entry budget the current
+  /// Memoizes `value` for `key`, whose hash() is `h` (a miss reuses the
+  /// hash its find() computed). On reaching the entry budget the current
   /// generation is cleared first (capacity of the slot buffers is kept).
   /// Inserting a key that is already present is a no-op — the memoized
   /// value is authoritative for the engine's lifetime.
-  void insert(std::span<const double> key, double value) {
+  void insert(std::span<const double> key, std::uint64_t h, double value) {
     if (budget_ == 0) return;
     if (size_ >= budget_) clear();
-    const std::uint64_t h = hash_bits(key);
     for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
       if (!slot.used) {
@@ -94,6 +114,18 @@ class PsiStableCache {
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return budget_; }
 
+  /// Longest probe sequence, in slots, that a find() of a present key
+  /// walks (0 when empty). A diagnostic of hash spread; O(slot count).
+  std::size_t longest_probe() const noexcept {
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].used) continue;
+      const std::size_t home = slots_[i].hash & mask_;
+      longest = std::max(longest, ((i - home) & mask_) + 1);
+    }
+    return longest;
+  }
+
  private:
   struct Slot {
     std::uint64_t hash = 0;
@@ -102,20 +134,7 @@ class PsiStableCache {
     bool used = false;
   };
 
-  /// FNV-1a over the key's double bit patterns.
-  static std::uint64_t hash_bits(std::span<const double> key) noexcept {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const double v : key) {
-      std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-      for (int byte = 0; byte < 8; ++byte) {
-        h = (h ^ (bits & 0xffu)) * 1099511628211ull;
-        bits >>= 8;
-      }
-    }
-    return h;
-  }
-
-  /// Bitwise equality, consistent with hash_bits (unlike operator== on
+  /// Bitwise equality, consistent with hash (unlike operator== on
   /// doubles, which conflates -0.0/0.0 and breaks on NaN).
   static bool keys_equal(const std::vector<double>& a,
                          std::span<const double> b) noexcept {

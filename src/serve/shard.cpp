@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.h"
 
@@ -26,22 +27,97 @@ Shard::Shard(const core::StableTemperaturePredictor* predictor,
       metrics_.calibration_abs_error_c->bucket_count(), 0);
 }
 
-double Shard::psi_stable(const mgmt::MonitoredConfig& config) {
-  VMTHERM_SPAN("serve.featurize", "serve");
-  core::encode_features(core::make_record_inputs(config.server, config.vms,
-                                                 config.fans,
-                                                 config.env_temp_c),
-                        psi_scratch_.features);
-  if (const double* hit = psi_cache_.find(psi_scratch_.features)) {
-    ++tally_.psi_cache_hits;
-    return *hit;
+bool Shard::accepts(const QueuedEvent& event) const noexcept {
+  return event.slot < hosts_.size() && hosts_[event.slot].live &&
+         std::isfinite(event.time_s) && std::isfinite(event.measured_c);
+}
+
+std::size_t Shard::resolve_chunk(const std::vector<QueuedEvent>& events,
+                                 std::size_t begin, std::size_t end) {
+  PsiBatch& batch = psi_batch_;
+  batch.configs.clear();
+  batch.events.clear();
+  for (std::size_t i = begin; i < end; ++i) {
+    const QueuedEvent& event = events[i];
+    if (event.type != TelemetryEvent::Type::kUpdateConfig ||
+        event.config == nullptr || !accepts(event)) {
+      continue;
+    }
+    try {
+      event.config->server.validate();
+    } catch (const Error&) {
+      continue;  // pass 2 counts it in apply.errors
+    }
+    batch.configs.push_back(event.config);
+    batch.events.push_back(i);
   }
-  ++tally_.psi_cache_misses;
-  VMTHERM_SPAN("serve.psi_predict", "serve");
-  const double psi = predictor_->predict_from_features(psi_scratch_.features,
-                                                       psi_scratch_.scaled);
-  psi_cache_.insert(psi_scratch_.features, psi);
-  return psi;
+  batch.psi.resize(batch.configs.size());
+  resolve_psi(batch.configs, batch.psi);
+  return batch.events.size();
+}
+
+void Shard::resolve_psi(std::span<const mgmt::MonitoredConfig* const> configs,
+                        std::span<double> psi) {
+  PsiBatch& batch = psi_batch_;
+  batch.miss_features.clear();
+  batch.miss_hashes.clear();
+  batch.pending.clear();
+  // With memoization disabled every lookup is a miss, as sequentially.
+  const bool memoize = psi_cache_.capacity() > 0;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    VMTHERM_SPAN("serve.featurize", "serve");
+    const mgmt::MonitoredConfig& config = *configs[i];
+    core::encode_features(
+        core::make_record_inputs(config.server, config.vms, config.fans,
+                                 config.env_temp_c),
+        batch.features);
+    const std::span<const double> key = batch.features;
+    const std::uint64_t hash = PsiStableCache::hash(key);
+    if (const double* hit = psi_cache_.find(key, hash)) {
+      ++tally_.psi_cache_hits;
+      psi[i] = *hit;
+      continue;
+    }
+    // A condition that already missed earlier in this batch counts as a
+    // hit, as it would when resolved one event at a time. Misses per
+    // chunk are few, so a linear scan over their hashes is enough.
+    std::size_t miss = batch.miss_hashes.size();
+    for (std::size_t m = 0; memoize && m < batch.miss_hashes.size(); ++m) {
+      if (batch.miss_hashes[m] == hash &&
+          std::memcmp(batch.miss_features.data() + m * key.size(),
+                      key.data(), key.size_bytes()) == 0) {
+        miss = m;
+        break;
+      }
+    }
+    if (miss < batch.miss_hashes.size()) {
+      ++tally_.psi_cache_hits;
+    } else {
+      ++tally_.psi_cache_misses;
+      batch.miss_hashes.push_back(hash);
+      batch.miss_features.insert(batch.miss_features.end(), key.begin(),
+                                 key.end());
+    }
+    batch.pending.emplace_back(i, miss);
+  }
+
+  const std::size_t misses = batch.miss_hashes.size();
+  if (misses == 0) return;
+  batch.miss_psi.resize(misses);
+  {
+    VMTHERM_SPAN_ARG("serve.psi_predict", "serve", "queries", misses);
+    predictor_->predict_batch_from_features(batch.miss_features, misses,
+                                            batch.scaled, batch.miss_psi);
+  }
+  const std::size_t dim = batch.miss_features.size() / misses;
+  for (std::size_t m = 0; m < misses; ++m) {
+    psi_cache_.insert(
+        std::span<const double>(batch.miss_features.data() + m * dim, dim),
+        batch.miss_hashes[m], batch.miss_psi[m]);
+  }
+  for (const auto& [index, miss] : batch.pending) {
+    psi[index] = batch.miss_psi[miss];
+  }
 }
 
 void Shard::publish_tally() {
@@ -68,7 +144,10 @@ std::uint32_t Shard::add_host(std::string host_id,
   config.server.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
   // ψ under the state lock: the cache and scratch buffers are shard state.
-  const double psi = psi_stable(config);
+  // A registration resolves as a one-condition chunk.
+  const mgmt::MonitoredConfig* const conditions[] = {&config};
+  double psi = 0.0;
+  resolve_psi(conditions, std::span<double>(&psi, 1));
   HostState host{std::move(host_id),
                  std::move(config),
                  core::DynamicTemperaturePredictor(options_->dynamic),
@@ -198,7 +277,20 @@ void Shard::drain_until_empty() {
           std::chrono::steady_clock::now();  // vmtherm-lint: allow(det-clock)
       {
         std::lock_guard<std::mutex> lock(state_mutex_);
-        for (std::size_t i = begin; i < end; ++i) apply(run.events[i]);
+        // Pass 1: ψ for the chunk's config updates. Observe-only runs
+        // carry no configs and skip it.
+        const std::size_t resolved =
+            run.configs.empty() ? 0 : resolve_chunk(run.events, begin, end);
+        // Pass 2: every event in queue order; `next` walks the resolved
+        // config events, which are in the same order.
+        std::size_t next = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const double* psi = nullptr;
+          if (next < resolved && psi_batch_.events[next] == i) {
+            psi = &psi_batch_.psi[next++];
+          }
+          apply(run.events[i], psi);
+        }
         publish_tally();
       }
       const auto elapsed =
@@ -210,8 +302,11 @@ void Shard::drain_until_empty() {
   }
 }
 
-void Shard::apply(const QueuedEvent& event) {
-  if (event.slot >= hosts_.size() || !hosts_[event.slot].live) {
+void Shard::apply(const QueuedEvent& event, const double* psi) {
+  // Unknown hosts and non-finite times or readings are rejected before any
+  // host state is touched: one bad reading must not poison γ, the
+  // residual statistics or the snapshot.
+  if (!accepts(event)) {
     ++tally_.apply_errors;
     return;
   }
@@ -243,12 +338,13 @@ void Shard::apply(const QueuedEvent& event) {
       }
       case TelemetryEvent::Type::kUpdateConfig: {
         VMTHERM_SPAN("serve.update_config", "serve");
-        detail::require(event.config != nullptr,
-                        "update_config event without a config payload");
-        event.config->server.validate();
+        if (psi == nullptr) {
+          // No payload or an invalid config: resolve_chunk skipped it.
+          ++tally_.apply_errors;
+          break;
+        }
         host.config = *event.config;
-        const double psi = psi_stable(host.config);
-        host.tracker.retarget(event.time_s, event.measured_c, psi);
+        host.tracker.retarget(event.time_s, event.measured_c, *psi);
         ++tally_.config_applied;
         break;
       }

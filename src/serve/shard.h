@@ -13,6 +13,11 @@
 //  * state_mutex_ guards the host table and the shard's metric tally; the
 //    drainer takes it per chunk, synchronous reads (forecast, scans,
 //    snapshot export) take it briefly.
+//  * A chunk that carries config updates runs in two passes under that
+//    one lock: pass 1 resolves ψ_stable for all of them (cache lookups,
+//    then one batched SVR call for the misses), pass 2 applies every event
+//    in queue order. ψ depends only on the config, so the split changes
+//    no result.
 //  * Per-event metrics are counted into the tally, not the shared
 //    registry, and published once per drain chunk and at the end of
 //    add_host, so drainers of different shards write no shared cache line
@@ -27,6 +32,8 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/drift.h"
@@ -166,19 +173,52 @@ class Shard {
     std::vector<std::uint64_t> abs_error_buckets;
   };
 
+  /// Scratch of ψ_stable resolution, reused across drain chunks so a
+  /// steady-state chunk allocates nothing.
+  struct PsiBatch {
+    /// The conditions to resolve, in event order; for a drain chunk also
+    /// the run index of the config event each came from, and ψ per entry.
+    std::vector<const mgmt::MonitoredConfig*> configs;
+    std::vector<std::size_t> events;
+    std::vector<double> psi;
+    std::vector<double> features;  ///< raw Eq. (2) encoding of one condition
+    std::vector<double> scaled;    ///< min-max scaled rows fed to the SVR
+    /// Distinct cache misses: raw feature rows (row-major), their cache
+    /// hashes and their predicted ψ.
+    std::vector<double> miss_features;
+    std::vector<std::uint64_t> miss_hashes;
+    std::vector<double> miss_psi;
+    /// (index into configs, index into the misses) per condition that
+    /// missed the cache.
+    std::vector<std::pair<std::size_t, std::size_t>> pending;
+  };
+
   /// Drains queue chunks until the queue is empty; requires the caller to
   /// have claimed drain_active_. Clears the claim and notifies flushers
   /// before returning. noexcept-in-effect: event errors are counted, never
   /// thrown.
   void drain_until_empty();
 
-  /// Applies one event under state_mutex_.
-  void apply(const QueuedEvent& event);
+  /// Whether an event can touch host state: its slot is live and its time
+  /// and reading are finite. Requires state_mutex_ to be held.
+  bool accepts(const QueuedEvent& event) const noexcept;
 
-  /// ψ_stable for a running condition, memoized in psi_cache_ and
-  /// featurized through the shard scratch buffers (no per-event
-  /// allocation). Requires state_mutex_ to be held.
-  double psi_stable(const mgmt::MonitoredConfig& config);
+  /// Pass 1 of a drain chunk: resolves ψ_stable for every config event in
+  /// events[begin, end) that apply() would accept (live slot, finite
+  /// values, valid config) into psi_batch_.events/.psi, and returns how
+  /// many it resolved. Requires state_mutex_ to be held.
+  std::size_t resolve_chunk(const std::vector<QueuedEvent>& events,
+                            std::size_t begin, std::size_t end);
+
+  /// ψ_stable of each running condition into psi[i]: featurize, look up
+  /// psi_cache_, then evaluate every distinct miss in one batched SVR call
+  /// and memoize the results. Requires state_mutex_ to be held.
+  void resolve_psi(std::span<const mgmt::MonitoredConfig* const> configs,
+                   std::span<double> psi);
+
+  /// Pass 2: applies one event under state_mutex_. `psi` is the value
+  /// resolve_chunk found for a config event, or nullptr if it found none.
+  void apply(const QueuedEvent& event, const double* psi);
 
   /// Adds the tally into the registry metrics and zeroes it. Requires
   /// state_mutex_ to be held.
@@ -191,12 +231,12 @@ class Shard {
   /// Held per drain chunk by the drainer, briefly by synchronous readers
   /// (forecast, snapshot). tally_ is published before the lock is released
   /// after every drain chunk and every add_host.
-  /// guards: hosts_/live_count_/psi_cache_/psi_scratch_/tally_
+  /// guards: hosts_/live_count_/psi_cache_/psi_batch_/tally_
   mutable std::mutex state_mutex_;
   std::vector<HostState> hosts_;  ///< indexed by slot; tombstoned when !live
   std::size_t live_count_ = 0;
-  PsiStableCache psi_cache_;            ///< running condition -> ψ_stable
-  core::StablePredictScratch psi_scratch_;  ///< reused featurization buffers
+  PsiStableCache psi_cache_;  ///< running condition -> ψ_stable
+  PsiBatch psi_batch_;        ///< ψ resolution scratch
   Tally tally_;
 
   /// guards: queue_/queued_events_/drain_active_ (producer/drainer handoff).

@@ -99,6 +99,49 @@ TEST_P(SvrInferenceKernelTest, ThreadedMatchesSerialBitwise) {
   }
 }
 
+TEST_P(SvrInferenceKernelTest, QueryTilesMatchSingleQueryBitwise) {
+  // Batches run as query tiles (8 queries) plus single-query tails. Every
+  // tile/tail split must reproduce predict() of each query alone, at SV
+  // counts around the 128-SV block edge and at the paper's 344, with and
+  // without a pool (whose 64-query blocks only kick in above 64 queries).
+  constexpr std::size_t kDim = 19;
+  constexpr std::size_t kTile = 8;
+  util::ThreadPool pool(3);
+  for (const std::size_t svs : {1u, 127u, 128u, 129u, 344u}) {
+    const RaggedModel m = random_model(svs, kDim, 91 + svs);
+    const ml::SvrModel model(make_kernel(GetParam()), m.svs, m.coefs,
+                             m.bias);
+    // The largest pooled batch (64 + 2 * kTile + 1) at the largest offset.
+    const std::size_t pool_queries = 64 + 2 * kTile + 3;
+    const std::vector<double> flat =
+        random_queries(pool_queries, kDim, 92 + svs);
+    std::vector<double> alone(pool_queries);
+    for (std::size_t i = 0; i < pool_queries; ++i) {
+      alone[i] = model.predict(
+          std::span<const double>(flat.data() + i * kDim, kDim));
+    }
+    for (std::size_t count = 1; count <= 2 * kTile + 1; ++count) {
+      for (util::ThreadPool* with : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool}) {
+        // Offset the batch so a query's tile position varies with count;
+        // pooled runs also cover a batch spilling past one 64-query block.
+        const std::size_t offset = count % 3;
+        const std::size_t n = with == nullptr ? count : 64 + count;
+        ASSERT_LE(offset + n, pool_queries);
+        std::vector<double> out(n);
+        model.predict_batch(
+            std::span<const double>(flat.data() + offset * kDim, n * kDim), n,
+            out, with);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bits_of(out[i]), bits_of(alone[offset + i]))
+              << "svs=" << svs << " count=" << n
+              << " pool=" << (with != nullptr) << " query " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SvrInferenceKernelTest, MatchesKernelEvalReferenceToTolerance) {
   const RaggedModel m = random_model(150, 9, 31);
   const ml::KernelParams kernel = make_kernel(GetParam());

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -276,9 +278,12 @@ TEST(FleetEngineTest, HotspotScanSortedAndDeterministic) {
 }
 
 TEST(FleetEngineTest, HotspotScanOrdersNanForecastsLast) {
-  // One NaN reading on a Δ_update step makes that host's γ, and so its
-  // forecast, NaN. The scan must still be a total order: finite rows
-  // hottest first, NaN rows after them, host id ascending within each.
+  // Finite but absurd readings on Δ_update steps overflow γ: +1e308 then
+  // -1e308 drive it to -inf, and the next reading makes it -inf + inf,
+  // i.e. NaN, and so the forecast NaN. (Non-finite readings themselves
+  // never reach γ; see NonFiniteReadingIsRejectedBeforeHostState.) The
+  // scan must still be a total order: finite rows hottest first, NaN rows
+  // after them, host id ascending within each.
   std::vector<std::vector<mgmt::HotspotRisk>> scans;
   for (const std::size_t shards : {1u, 4u}) {
     FleetEngine engine(shared_predictor(), manual_options(shards));
@@ -289,14 +294,16 @@ TEST(FleetEngineTest, HotspotScanOrdersNanForecastsLast) {
                                                   : idle_config(),
           0.0, 23.0));
     }
-    std::vector<TelemetryEvent> batch;
-    for (int i = 0; i < 12; ++i) {
-      const double measured = i % 3 == 1
-                                  ? std::numeric_limits<double>::quiet_NaN()
-                                  : 30.0 + i;
-      batch.push_back(TelemetryEvent::observe(handles[i], 15.0, measured));
+    const double absurd[] = {1e308, -1e308, 30.0};
+    for (int step = 0; step < 3; ++step) {
+      std::vector<TelemetryEvent> batch;
+      for (int i = 0; i < 12; ++i) {
+        const double measured = i % 3 == 1 ? absurd[step] : 30.0 + i;
+        batch.push_back(
+            TelemetryEvent::observe(handles[i], 15.0 * (step + 1), measured));
+      }
+      engine.ingest_batch(std::move(batch));
     }
-    engine.ingest_batch(std::move(batch));
     engine.flush();
     ASSERT_TRUE(std::isnan(engine.forecast(handles[1], 60.0)));
     scans.push_back(engine.hotspot_scan(60.0, 40.0));
@@ -425,6 +432,280 @@ TEST(FleetEngineTest, PerEventMetricsExactAfterFlushAtAnyTopology) {
   EXPECT_EQ(metric_lines(mid_snapshots[0]), metric_lines(mid_snapshots[1]));
   EXPECT_EQ(final_json[0], final_json[1]);
   EXPECT_EQ(final_json[0], kTallyGoldenJson);
+}
+
+TEST(FleetEngineTest, NonFiniteReadingIsRejectedBeforeHostState) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    FleetEngine engine(shared_predictor(), manual_options(shards));
+    EXPECT_THROW(engine.register_host("bad-t0", busy_config(), nan, 23.0),
+                 DataError);
+    EXPECT_THROW(engine.register_host("bad-phi", busy_config(), 0.0, inf),
+                 DataError);
+    EXPECT_FALSE(engine.has_host("bad-t0"));
+    EXPECT_FALSE(engine.has_host("bad-phi"));
+
+    std::vector<HostHandle> handles;
+    for (int i = 0; i < 6; ++i) {
+      handles.push_back(engine.register_host(
+          "host-" + std::to_string(i),
+          i % 2 == 0 ? busy_config() : idle_config(), 0.0, 23.0));
+    }
+    for (const HostHandle h : handles) {
+      engine.ingest(TelemetryEvent::observe(h, 15.0, 29.0));
+    }
+    engine.flush();
+    const std::uint64_t errors_before =
+        engine.metrics().counter("apply.errors").value();
+
+    // t = 30 is a Δ_update step (15 s after the last update), where a NaN
+    // reading that got through would turn γ into NaN for good.
+    engine.ingest(TelemetryEvent::observe(handles[1], 30.0, nan));
+    engine.flush();
+    EXPECT_EQ(engine.metrics().counter("apply.errors").value(),
+              errors_before + 1);
+    EXPECT_EQ(engine.calibration_of(handles[1]),
+              engine.calibration_of(handles[3]));  // same config and readings
+
+    // A non-finite time or a non-finite reading on a config update is
+    // rejected the same way.
+    engine.ingest(TelemetryEvent::observe(handles[2], nan, 30.0));
+    engine.ingest(
+        TelemetryEvent::update_config(handles[4], 30.0, inf, idle_config()));
+    engine.flush();
+    EXPECT_EQ(engine.metrics().counter("apply.errors").value(),
+              errors_before + 3);
+    EXPECT_EQ(engine.config_of(handles[4]).vms.size(), 2u);  // unchanged
+
+    for (const HostHandle h : handles) {
+      engine.ingest(TelemetryEvent::observe(h, 45.0, 31.0));
+    }
+    engine.flush();
+    for (const HostHandle h : handles) {
+      EXPECT_TRUE(std::isfinite(engine.forecast(h, 60.0))) << h;
+    }
+
+    std::stringstream snapshot;
+    save_fleet(snapshot, engine);
+    std::unique_ptr<FleetEngine> restored = load_fleet(snapshot);
+    for (int i = 0; i < 6; ++i) {
+      const std::string id = "host-" + std::to_string(i);
+      EXPECT_EQ(restored->forecast(restored->handle_of(id), 60.0),
+                engine.forecast(handles[i], 60.0))
+          << id;
+    }
+  }
+}
+
+// ψ_stable is resolved per drain chunk: pass 1 looks up every config
+// event of the chunk and evaluates the misses in one batched SVR call,
+// pass 2 applies the events in order. This stream puts cache hits, fresh
+// misses, two identical new conditions, an invalid config, a config for an
+// unregistered host and a retarget whose time goes backwards into the same
+// chunk. Every topology and cache size must give the same forecasts,
+// snapshot and deterministic metrics as a one-event-at-a-time replay on
+// core::DynamicTemperaturePredictor with ψ from predict_from_features.
+struct ChunkEvent {
+  std::size_t host = 0;
+  bool config = false;
+  double time_s = 0.0;
+  double measured_c = 0.0;
+  mgmt::MonitoredConfig payload;
+};
+
+mgmt::MonitoredConfig condition(double env_temp_c, int burn_vms) {
+  mgmt::MonitoredConfig config = busy_config();
+  config.env_temp_c = env_temp_c;
+  config.vms.resize(static_cast<std::size_t>(burn_vms), config.vms.front());
+  return config;
+}
+
+constexpr std::size_t kChunkHosts = 10;
+constexpr std::size_t kDoomedHost = 9;  ///< unregistered with events queued
+
+mgmt::MonitoredConfig initial_condition(std::size_t host) {
+  return host % 2 == 0 ? busy_config() : idle_config();
+}
+
+std::vector<std::vector<ChunkEvent>> chunk_rounds() {
+  mgmt::MonitoredConfig invalid = busy_config();
+  invalid.server.physical_cores = 0;
+  std::vector<std::vector<ChunkEvent>> rounds(3);
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    rounds[0].push_back({h, false, 15.0, 27.0 + h, {}});
+    rounds[0].push_back({h, false, 30.0, 28.0 + h, {}});
+  }
+  std::vector<ChunkEvent>& mixed = rounds[1];
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    if (h != kDoomedHost) mixed.push_back({h, false, 45.0, 29.0 + h, {}});
+  }
+  mixed.push_back({0, true, 50.0, 30.0, busy_config()});        // hit
+  mixed.push_back({1, true, 50.0, 31.0, condition(27.5, 3)});   // new
+  mixed.push_back({2, true, 50.0, 32.0, condition(24.0, 1)});   // new
+  mixed.push_back({3, true, 50.0, 33.0, condition(27.5, 3)});   // same new
+  mixed.push_back({4, true, 50.0, 34.0, invalid});
+  mixed.push_back({5, true, 10.0, 35.0, condition(30.0, 2)});   // t < 45
+  mixed.push_back({kDoomedHost, true, 5.0, 36.0, condition(31.0, 4)});
+  mixed.push_back({6, true, 50.0, 37.0, condition(25.0, 4)});   // new
+  mixed.push_back({7, true, 50.0, 38.0, condition(26.0, 1)});   // new
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    if (h != kDoomedHost) mixed.push_back({h, false, 60.0, 30.0 + h, {}});
+  }
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    if (h == kDoomedHost) continue;
+    rounds[2].push_back({h, false, 75.0, 31.0 + h, {}});
+    if (h % 3 == 0) {
+      rounds[2].push_back({h, true, 80.0, 32.0, condition(24.0, 1)});  // hit
+    }
+    rounds[2].push_back({h, false, 90.0, 33.0 + h, {}});
+  }
+  return rounds;
+}
+
+struct ChunkRunResult {
+  std::vector<double> forecasts;
+  std::string snapshot;
+  std::string deterministic_json;
+  std::uint64_t psi_hits = 0;
+  std::uint64_t psi_misses = 0;
+};
+
+constexpr double kChunkGaps[] = {0.0, 60.0, 600.0};
+
+ChunkRunResult run_chunk_stream(const FleetEngineOptions& options) {
+  FleetEngine engine(shared_predictor(), options);
+  std::vector<HostHandle> handles;
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    handles.push_back(engine.register_host("chunk-" + std::to_string(h),
+                                           initial_condition(h), 0.0, 23.0));
+  }
+  const std::vector<std::vector<ChunkEvent>> rounds = chunk_rounds();
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    std::vector<TelemetryEvent> batch;
+    for (const ChunkEvent& e : rounds[r]) {
+      batch.push_back(
+          e.config ? TelemetryEvent::update_config(handles[e.host], e.time_s,
+                                                   e.measured_c, e.payload)
+                   : TelemetryEvent::observe(handles[e.host], e.time_s,
+                                             e.measured_c));
+    }
+    engine.ingest_batch(std::move(batch));
+    // The doomed host's observes apply before it is unregistered. Its only
+    // event after that is a retarget back in time, so it is an apply error
+    // whether a pooled drain reaches it before the unregister or not.
+    if (r == 0) engine.flush();
+    if (r == 1) engine.unregister_host(handles[kDoomedHost]);
+  }
+  engine.flush();
+
+  ChunkRunResult result;
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    if (h == kDoomedHost) continue;
+    for (const double gap : kChunkGaps) {
+      result.forecasts.push_back(engine.forecast(handles[h], gap));
+    }
+  }
+  std::ostringstream snapshot;
+  save_fleet(snapshot, engine);
+  result.snapshot = snapshot.str();
+  result.deterministic_json = engine.metrics().to_json(false);
+  MetricsRegistry& registry = engine.metrics();
+  result.psi_hits =
+      registry.counter("psi_cache.hits", MetricKind::kTiming).value();
+  result.psi_misses =
+      registry.counter("psi_cache.misses", MetricKind::kTiming).value();
+  return result;
+}
+
+/// One event at a time on bare trackers, ψ from the scalar entry point.
+std::vector<double> reference_chunk_forecasts() {
+  const core::StableTemperaturePredictor& predictor = shared_predictor();
+  std::vector<double> features;
+  std::vector<double> scaled;
+  const auto psi_of = [&](const mgmt::MonitoredConfig& config) {
+    core::encode_features(
+        core::make_record_inputs(config.server, config.vms, config.fans,
+                                 config.env_temp_c),
+        features);
+    return predictor.predict_from_features(features, scaled);
+  };
+  const core::DynamicOptions dynamic = FleetEngineOptions{}.dynamic;
+  std::vector<core::DynamicTemperaturePredictor> trackers;
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    trackers.emplace_back(dynamic);
+    trackers.back().begin(0.0, 23.0, psi_of(initial_condition(h)));
+  }
+  for (const std::vector<ChunkEvent>& round : chunk_rounds()) {
+    for (const ChunkEvent& e : round) {
+      if (e.host == kDoomedHost && e.config) continue;  // unregistered
+      try {
+        if (e.config) {
+          e.payload.server.validate();
+          trackers[e.host].retarget(e.time_s, e.measured_c,
+                                    psi_of(e.payload));
+        } else {
+          trackers[e.host].observe(e.time_s, e.measured_c);
+        }
+      } catch (const Error&) {
+        // Counted in apply.errors by the engine; the tracker is untouched.
+      }
+    }
+  }
+  std::vector<double> forecasts;
+  for (std::size_t h = 0; h < kChunkHosts; ++h) {
+    if (h == kDoomedHost) continue;
+    for (const double gap : kChunkGaps) {
+      forecasts.push_back(trackers[h].predict_ahead(gap));
+    }
+  }
+  return forecasts;
+}
+
+TEST(FleetEngineTest, ChunkBatchedPsiMatchesScalarReplay) {
+  FleetEngineOptions manual = manual_options(1);
+  FleetEngineOptions pooled;
+  pooled.shards = 4;
+  pooled.threads = 2;
+  pooled.drain = DrainMode::kAuto;
+  FleetEngineOptions uncached = manual_options(1);
+  uncached.psi_cache_capacity = 0;
+  // Seven distinct conditions overflow four entries, so generational
+  // clears fall inside the mixed chunk.
+  FleetEngineOptions tiny = manual_options(1);
+  tiny.psi_cache_capacity = 4;
+
+  std::vector<ChunkRunResult> runs;
+  for (const FleetEngineOptions& options : {manual, pooled, uncached, tiny}) {
+    runs.push_back(run_chunk_stream(options));
+  }
+  const std::vector<double> reference = reference_chunk_forecasts();
+  ASSERT_EQ(runs[0].forecasts.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(runs[0].forecasts[i]),
+              std::bit_cast<std::uint64_t>(reference[i]))
+        << "forecast " << i;
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(runs[r].forecasts, runs[0].forecasts);
+    EXPECT_EQ(runs[r].snapshot, runs[0].snapshot);
+    EXPECT_EQ(runs[r].deterministic_json, runs[0].deterministic_json);
+  }
+  EXPECT_NE(runs[0].deterministic_json.find("\"apply.config_update\":9,"),
+            std::string::npos);
+  EXPECT_NE(runs[0].deterministic_json.find("\"apply.errors\":3,"),
+            std::string::npos);
+
+  // Registrations: 2 misses, 8 hits. Mixed chunk: the unregistered host
+  // and the invalid config are not looked up; the repeated new condition
+  // counts as a hit, as it would one event at a time. Last round: 3 hits.
+  EXPECT_EQ(runs[0].psi_misses, 2u + 5u);
+  EXPECT_EQ(runs[0].psi_hits, 8u + 2u + 3u);
+  // A disabled cache counts every lookup as a miss.
+  EXPECT_EQ(runs[2].psi_hits, 0u);
+  EXPECT_EQ(runs[2].psi_misses, 10u + 7u + 3u);
 }
 
 TEST(FleetEngineTest, DeterministicAcrossShardAndThreadCounts) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -19,28 +20,38 @@
 namespace vmtherm::serve {
 namespace {
 
+// The cache takes each key's hash from its caller, so that a miss hashes
+// once for find() and insert(); these helpers hash per call.
+const double* find(const PsiStableCache& cache, std::span<const double> key) {
+  return cache.find(key, PsiStableCache::hash(key));
+}
+
+void insert(PsiStableCache& cache, std::span<const double> key, double value) {
+  cache.insert(key, PsiStableCache::hash(key), value);
+}
+
 TEST(PsiStableCacheTest, InsertThenFindReturnsStoredValue) {
   PsiStableCache cache(8);
   const std::vector<double> key{1.0, 2.5, -3.75};
-  EXPECT_EQ(cache.find(key), nullptr);
-  cache.insert(key, 42.5);
-  ASSERT_NE(cache.find(key), nullptr);
-  EXPECT_EQ(*cache.find(key), 42.5);
+  EXPECT_EQ(find(cache, key), nullptr);
+  insert(cache, key, 42.5);
+  ASSERT_NE(find(cache, key), nullptr);
+  EXPECT_EQ(*find(cache, key), 42.5);
   EXPECT_EQ(cache.size(), 1u);
   // A different key of the same length misses.
   const std::vector<double> other{1.0, 2.5, -3.5};
-  EXPECT_EQ(cache.find(other), nullptr);
+  EXPECT_EQ(find(cache, other), nullptr);
   // A prefix of the key misses (length is part of equality).
-  EXPECT_EQ(cache.find(std::span<const double>(key.data(), 2)), nullptr);
+  EXPECT_EQ(find(cache, std::span<const double>(key.data(), 2)), nullptr);
 }
 
 TEST(PsiStableCacheTest, DuplicateInsertIsNoOp) {
   PsiStableCache cache(8);
   const std::vector<double> key{7.0};
-  cache.insert(key, 1.0);
-  cache.insert(key, 999.0);  // first value stays authoritative
-  ASSERT_NE(cache.find(key), nullptr);
-  EXPECT_EQ(*cache.find(key), 1.0);
+  insert(cache, key, 1.0);
+  insert(cache, key, 999.0);  // first value stays authoritative
+  ASSERT_NE(find(cache, key), nullptr);
+  EXPECT_EQ(*find(cache, key), 1.0);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -48,45 +59,45 @@ TEST(PsiStableCacheTest, KeysAreBitwiseNotValueEqual) {
   PsiStableCache cache(8);
   const std::vector<double> pos{0.0};
   const std::vector<double> neg{-0.0};
-  cache.insert(pos, 10.0);
-  ASSERT_NE(cache.find(pos), nullptr);
+  insert(cache, pos, 10.0);
+  ASSERT_NE(find(cache, pos), nullptr);
   // -0.0 == 0.0 by value, but the cache must treat them as distinct keys.
-  EXPECT_EQ(cache.find(neg), nullptr);
-  cache.insert(neg, 20.0);
-  EXPECT_EQ(*cache.find(pos), 10.0);
-  EXPECT_EQ(*cache.find(neg), 20.0);
+  EXPECT_EQ(find(cache, neg), nullptr);
+  insert(cache, neg, 20.0);
+  EXPECT_EQ(*find(cache, pos), 10.0);
+  EXPECT_EQ(*find(cache, neg), 20.0);
 
   // A NaN key is consistently findable (bitwise, so NaN != NaN is moot).
   const std::vector<double> nan_key{std::numeric_limits<double>::quiet_NaN()};
-  cache.insert(nan_key, 30.0);
-  ASSERT_NE(cache.find(nan_key), nullptr);
-  EXPECT_EQ(*cache.find(nan_key), 30.0);
+  insert(cache, nan_key, 30.0);
+  ASSERT_NE(find(cache, nan_key), nullptr);
+  EXPECT_EQ(*find(cache, nan_key), 30.0);
 }
 
 TEST(PsiStableCacheTest, ClearsGenerationOnReachingBudget) {
   PsiStableCache cache(4);
   EXPECT_EQ(cache.capacity(), 4u);
   for (int i = 0; i < 4; ++i) {
-    cache.insert(std::vector<double>{static_cast<double>(i)}, i * 10.0);
+    insert(cache, std::vector<double>{static_cast<double>(i)}, i * 10.0);
   }
   EXPECT_EQ(cache.size(), 4u);
   // The 5th distinct key trips the generational clear: the old entries
   // vanish, the new one is memoized in the fresh generation.
   const std::vector<double> fresh{99.0};
-  cache.insert(fresh, 990.0);
+  insert(cache, fresh, 990.0);
   EXPECT_EQ(cache.size(), 1u);
-  ASSERT_NE(cache.find(fresh), nullptr);
-  EXPECT_EQ(*cache.find(fresh), 990.0);
+  ASSERT_NE(find(cache, fresh), nullptr);
+  EXPECT_EQ(*find(cache, fresh), 990.0);
   const std::vector<double> old_key{0.0};
-  EXPECT_EQ(cache.find(old_key), nullptr);
+  EXPECT_EQ(find(cache, old_key), nullptr);
 }
 
 TEST(PsiStableCacheTest, ZeroCapacityDisablesMemoization) {
   PsiStableCache cache(0);
   EXPECT_EQ(cache.capacity(), 0u);
   const std::vector<double> key{1.0, 2.0};
-  cache.insert(key, 5.0);
-  EXPECT_EQ(cache.find(key), nullptr);
+  insert(cache, key, 5.0);
+  EXPECT_EQ(find(cache, key), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   cache.clear();  // harmless on a disabled cache
 }
@@ -95,11 +106,59 @@ TEST(PsiStableCacheTest, SurvivesManyInsertsAcrossGenerations) {
   PsiStableCache cache(16);
   for (int i = 0; i < 1000; ++i) {
     const std::vector<double> key{static_cast<double>(i), 0.5};
-    cache.insert(key, static_cast<double>(i));
-    ASSERT_NE(cache.find(key), nullptr) << "entry " << i;
-    EXPECT_EQ(*cache.find(key), static_cast<double>(i));
+    insert(cache, key, static_cast<double>(i));
+    ASSERT_NE(find(cache, key), nullptr) << "entry " << i;
+    EXPECT_EQ(*find(cache, key), static_cast<double>(i));
     EXPECT_LE(cache.size(), 16u);
   }
+}
+
+TEST(PsiStableCacheTest, KeysDifferingInOneBitPatternAreDistinct) {
+  const double nan_a = std::bit_cast<double>(0x7ff8000000000001ull);
+  const double nan_b = std::bit_cast<double>(0x7ff8000000000002ull);
+  const std::vector<std::vector<double>> keys = {
+      {2.4, 0.0, 24.0},
+      {2.4, -0.0, 24.0},                        // signed zero
+      {2.4, nan_a, 24.0},
+      {2.4, nan_b, 24.0},                       // NaN payload
+      {-2.4, 0.0, 24.0},                        // sign bit
+      {2.4, 0.0, std::nextafter(24.0, 25.0)},  // lowest mantissa bit
+  };
+  PsiStableCache cache(16);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    insert(cache, keys[i], static_cast<double>(i));
+  }
+  EXPECT_EQ(cache.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_NE(find(cache, keys[i]), nullptr) << "key " << i;
+    EXPECT_EQ(*find(cache, keys[i]), static_cast<double>(i)) << "key " << i;
+    for (std::size_t j = i + 1; j < keys.size(); ++j) {
+      EXPECT_NE(PsiStableCache::hash(keys[i]), PsiStableCache::hash(keys[j]))
+          << "keys " << i << " and " << j;
+    }
+  }
+}
+
+TEST(PsiStableCacheTest, IntegerValuedKeysKeepProbeChainsShort) {
+  // Like Eq. (2) vectors: 19 features, mostly small integers (fans, VM
+  // counts, vCPU totals, whole-degree temperatures) whose low mantissa
+  // bits are all zero, while the slot index uses the hash's low bits.
+  PsiStableCache cache(4096);
+  std::vector<double> key(19, 0.0);
+  key[0] = 2.4;
+  key[1] = 8.0;
+  key[2] = 32.0;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    key[3] = 1.0 + static_cast<double>(i & 3);          // fans
+    key[4] = 20.0 + static_cast<double>((i >> 2) & 7);  // env temp
+    key[5] = 1.0 + static_cast<double>((i >> 5) & 7);   // VM count
+    key[6] = 2.0 * key[5] + static_cast<double>((i >> 8) & 15);  // vCPUs
+    key[7] = 4.0 * key[5];                              // memory
+    insert(cache, key, static_cast<double>(i));
+  }
+  // Full budget: the next new key would clear the generation.
+  ASSERT_EQ(cache.size(), 4096u);
+  EXPECT_LE(cache.longest_probe(), 16u);
 }
 
 // ---------------------------------------------------------------------
