@@ -1,16 +1,16 @@
 // bench/perf_serve.cpp
 //
-// Fleet-serving throughput bench: single-thread ThermalMonitorService
-// ingestion (the serial baseline) vs. the sharded FleetEngine at 1/2/4/8
-// shards, plus batched-forecast latency quantiles. Emits machine-readable
-// JSON (BENCH_serve.json) next to the human-readable table.
+// Fleet-serving throughput bench: the sharded FleetEngine's ingest and
+// apply rates at 1/2/4/8 shards, plus batched-forecast latency quantiles.
+// Emits machine-readable JSON (BENCH_serve.json) next to the
+// human-readable table.
 //
 // Methodology: per-step event batches are pre-built outside every timed
 // region. Engine ingestion is timed in manual-drain mode (producer-visible
 // enqueue cost — what a telemetry source waits for), apply cost is timed
 // as the matching flush, and end-to-end throughput combines both. Every
-// throughput number is best-of `--trials` with a fresh engine/monitor per
-// trial, so scheduler noise on a shared box doesn't land in the report.
+// throughput number is best-of `--trials` with a fresh engine per trial,
+// so scheduler noise on a shared box doesn't land in the report.
 //
 // The bench also guards the tracing contract: spans are compiled into the
 // serving hot path (see obs/trace.h), so it measures the cost of one
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "mgmt/monitor.h"
 #include "obs/chrome_trace.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
@@ -197,13 +196,10 @@ EngineResult bench_engine(const vmtherm::core::StableTemperaturePredictor& predi
     if (trial == 0 || apply_s < best_apply_s) best_apply_s = apply_s;
 
     if (trial + 1 == args.trials) {
-      result_hits = engine.metrics()
-                        .counter("psi_cache.hits", serve::MetricKind::kTiming)
-                        .value();
+      constexpr auto kTiming = vmtherm::obs::MetricKind::kTiming;
+      result_hits = engine.metrics().counter("psi_cache.hits", kTiming).value();
       result_misses =
-          engine.metrics()
-              .counter("psi_cache.misses", serve::MetricKind::kTiming)
-              .value();
+          engine.metrics().counter("psi_cache.misses", kTiming).value();
       std::vector<serve::ForecastRequest> requests;
       requests.reserve(args.hosts);
       for (const serve::HostHandle h : handles) {
@@ -353,32 +349,6 @@ int write_traced_pass(
   return 0;
 }
 
-double bench_monitor(const vmtherm::core::StableTemperaturePredictor& predictor,
-                     const Args& args) {
-  std::vector<std::string> names;
-  names.reserve(args.hosts);
-  for (std::size_t h = 0; h < args.hosts; ++h) names.push_back(host_name(h));
-
-  double best_s = 0.0;
-  for (std::size_t trial = 0; trial < args.trials; ++trial) {
-    vmtherm::mgmt::ThermalMonitorService monitor(predictor);
-    for (std::size_t h = 0; h < args.hosts; ++h) {
-      monitor.register_host(names[h], host_config(h), 0.0, 25.0);
-    }
-    const auto start = Clock::now();
-    for (std::size_t step = 0; step < args.steps; ++step) {
-      for (std::size_t h = 0; h < args.hosts; ++h) {
-        monitor.observe(names[h], 5.0 * static_cast<double>(step + 1),
-                        measured_c(step, h));
-      }
-    }
-    const double elapsed_s = seconds_since(start);
-    if (trial == 0 || elapsed_s < best_s) best_s = elapsed_s;
-  }
-  return static_cast<double>(args.hosts) * static_cast<double>(args.steps) /
-         best_s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -399,24 +369,17 @@ int main(int argc, char** argv) {
   const auto predictor = vmtherm::core::StableTemperaturePredictor::train(
       vmtherm::core::generate_corpus(ranges, 60, 7), train_options);
 
-  const double monitor_eps = bench_monitor(predictor, args);
-
   std::vector<EngineResult> results;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     results.push_back(bench_engine(predictor, args, shards));
   }
 
   vmtherm::Table table({"configuration", "ingest_ev_s", "apply_ev_s",
-                        "speedup_vs_monitor", "fc_p50_us", "fc_p99_us",
-                        "psi_hit", "psi_miss"});
-  table.add_row({"monitor (serial)", vmtherm::Table::num(monitor_eps, 0), "-",
-                 "1.00", "-", "-", "-", "-"});
+                        "fc_p50_us", "fc_p99_us", "psi_hit", "psi_miss"});
   for (const EngineResult& r : results) {
     table.add_row({"engine x" + std::to_string(r.shards),
                    vmtherm::Table::num(r.ingest_events_per_sec, 0),
                    vmtherm::Table::num(r.apply_events_per_sec, 0),
-                   vmtherm::Table::num(
-                       r.ingest_events_per_sec / monitor_eps, 2),
                    vmtherm::Table::num(r.forecast_p50_us, 1),
                    vmtherm::Table::num(r.forecast_p99_us, 1),
                    vmtherm::Table::num(
@@ -448,7 +411,6 @@ int main(int argc, char** argv) {
   json.precision(17);
   json << "{\"hosts\":" << args.hosts << ",\"steps\":" << args.steps
        << ",\"events\":" << args.hosts * args.steps
-       << ",\"monitor_ingest_events_per_sec\":" << monitor_eps
        << ",\"engine\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const EngineResult& r = results[i];
@@ -457,7 +419,6 @@ int main(int argc, char** argv) {
          << ",\"ingest_events_per_sec\":" << r.ingest_events_per_sec
          << ",\"apply_events_per_sec\":" << r.apply_events_per_sec
          << ",\"end_to_end_events_per_sec\":" << r.end_to_end_events_per_sec
-         << ",\"speedup_vs_monitor\":" << r.ingest_events_per_sec / monitor_eps
          << ",\"forecast_p50_us\":" << r.forecast_p50_us
          << ",\"forecast_p99_us\":" << r.forecast_p99_us
          << ",\"psi_cache_hits\":" << r.psi_cache_hits

@@ -1,7 +1,7 @@
 // fleet_advisor — the thermal-management control loop, end to end:
 //
 //   1. train the stable-temperature model (offline);
-//   2. scan the fleet for predicted hotspots (ThermalMonitorService);
+//   2. scan the fleet's predicted stable temperatures for hotspots;
 //   3. plan migrations that relieve them (MigrationPlanner);
 //   4. raise the CRAC setpoint as far as predictions allow and account the
 //      cooling-energy saving (CoolingModel / plan_setpoint).
@@ -14,7 +14,6 @@
 
 #include "core/evaluator.h"
 #include "mgmt/cooling.h"
-#include "mgmt/monitor.h"
 #include "mgmt/planner.h"
 #include "util/table.h"
 

@@ -1,12 +1,12 @@
 // fleet_serving — the sharded serving engine at fleet scale.
 //
-// ThermalMonitorService (examples/hotspot_alarm.cpp) is a single-threaded
-// façade: fine for a rack, externally synchronized by design (DESIGN.md §6).
-// This example runs the serving path built for the next three orders of
-// magnitude: a FleetEngine sharding 1000 hosts, streaming one simulated
+// FleetEngine is the library's per-host tracking service: each host's
+// calibrated dynamic predictor (Eqs. 4-8) retargeted at the SVR's
+// ψ_stable. This example shards 1000 hosts, streams one simulated
 // telemetry batch per scrape interval through the concurrent ingestion
-// queues, then asking for the fleet's metrics table and the five hosts most
-// at risk of becoming hotspots.
+// queues, then asks for the fleet's metrics table and the five hosts most
+// at risk of becoming hotspots. (For a single rack, one shard in manual
+// drain mode is the serial variant.)
 
 #include <cstdio>
 #include <iostream>

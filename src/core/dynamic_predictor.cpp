@@ -56,6 +56,10 @@ void DynamicTemperaturePredictor::retarget(double t, double phi_now,
   require_started();
   detail::require(t >= last_observed_s_,
                   "retarget time must not precede observations");
+  // Built before any member changes: if it throws (a non-finite reading or
+  // ψ_stable), the tracker keeps its previous state.
+  PredefinedCurve curve(phi_now, new_psi_stable, options_.t_break_s,
+                        options_.curvature);
   t0_ = t;
   phi0_ = phi_now;
   psi_stable_ = new_psi_stable;
@@ -66,8 +70,7 @@ void DynamicTemperaturePredictor::retarget(double t, double phi_now,
     gamma_ = 0.0;
     last_update_s_ = t;
   }
-  curve_ = PredefinedCurve(phi_now, new_psi_stable, options_.t_break_s,
-                           options_.curvature);
+  curve_ = curve;
 }
 
 DynamicPredictorState DynamicTemperaturePredictor::export_state()

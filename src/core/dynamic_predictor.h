@@ -91,6 +91,8 @@ class DynamicTemperaturePredictor {
   /// Re-aims the curve at a new stable temperature from the current
   /// operating point (VM churn / migration / fan change). Resets γ to 0
   /// unless options.retain_calibration_on_retarget is set (see there).
+  /// Throws ConfigError when t precedes the last observation or phi_now /
+  /// new_psi_stable is not finite, and then leaves the state unchanged.
   void retarget(double t, double phi_now, double new_psi_stable);
 
   double calibration() const noexcept { return gamma_; }

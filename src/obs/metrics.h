@@ -2,11 +2,9 @@
 //
 // A lightweight metrics registry: named counters, gauges and fixed-bucket
 // histograms, updatable concurrently (relaxed atomics — metrics never
-// synchronize anything), queryable as an ASCII table and as JSON. Born in
-// src/serve for the fleet engine, promoted to src/obs so the tracer and
-// accuracy tracker can publish into the same registry without a
-// serve-dependency cycle; serve/metrics.h aliases everything back into
-// vmtherm::serve for existing callers.
+// synchronize anything), queryable as an ASCII table and as JSON. It lives
+// in src/obs so the fleet engine, the tracer and the accuracy tracker all
+// publish into the same registry without a serve-dependency cycle.
 //
 // Every metric is registered as either *deterministic* (its value is a
 // pure function of the logical event stream: event counts, calibration

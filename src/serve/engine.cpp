@@ -44,25 +44,27 @@ FleetEngine::FleetEngine(core::StableTemperaturePredictor predictor,
   shard_metrics_.apply_errors = &metrics_.counter("apply.errors");
   shard_metrics_.drift_signals = &metrics_.counter("drift.signals");
   shard_metrics_.queue_high_water =
-      &metrics_.gauge("queue.high_water", MetricKind::kTiming);
+      &metrics_.gauge("queue.high_water", obs::MetricKind::kTiming);
   // Timing-class on purpose: per-shard caching makes the hit/miss split a
   // function of host->shard placement, so the counts legitimately differ
   // across shard topologies while every forecast stays bitwise-identical.
   shard_metrics_.psi_cache_hits =
-      &metrics_.counter("psi_cache.hits", MetricKind::kTiming);
+      &metrics_.counter("psi_cache.hits", obs::MetricKind::kTiming);
   shard_metrics_.psi_cache_misses =
-      &metrics_.counter("psi_cache.misses", MetricKind::kTiming);
+      &metrics_.counter("psi_cache.misses", obs::MetricKind::kTiming);
   shard_metrics_.calibration_abs_error_c =
       &metrics_.histogram("calibration.abs_error_c", calibration_bounds_c());
-  shard_metrics_.drain_batch_us = &metrics_.histogram(
-      "latency.drain_batch_us", latency_bounds_us(), MetricKind::kTiming);
+  shard_metrics_.drain_batch_us =
+      &metrics_.histogram("latency.drain_batch_us", latency_bounds_us(),
+                          obs::MetricKind::kTiming);
 
   batches_ = &metrics_.counter("ingest.batches");
   forecasts_ = &metrics_.counter("forecast.requests");
   scans_ = &metrics_.counter("hotspot.scans");
   hosts_gauge_ = &metrics_.gauge("fleet.hosts");
-  forecast_batch_us_ = &metrics_.histogram(
-      "latency.forecast_batch_us", latency_bounds_us(), MetricKind::kTiming);
+  forecast_batch_us_ =
+      &metrics_.histogram("latency.forecast_batch_us", latency_bounds_us(),
+                          obs::MetricKind::kTiming);
 
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {

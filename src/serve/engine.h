@@ -13,9 +13,9 @@
 // (per-host state only ever depends on that host's own events). See
 // DESIGN.md §7 for the ordering and backpressure contract.
 //
-// This is the one *internally synchronized* service façade in the library
-// (DESIGN.md §6); ThermalMonitorService remains the externally
-// synchronized single-control-plane variant.
+// This is the library's one per-host tracking service and its one
+// *internally synchronized* service façade (DESIGN.md §6). A single-threaded
+// caller gets the serial variant from one shard in manual drain mode.
 
 #pragma once
 
@@ -28,8 +28,8 @@
 
 #include "core/stable_predictor.h"
 #include "obs/accuracy.h"
+#include "obs/metrics.h"
 #include "serve/event.h"
-#include "serve/metrics.h"
 #include "serve/shard.h"
 #include "util/thread_pool.h"
 
@@ -131,8 +131,8 @@ class FleetEngine {
 
   /// Per-event counts are published per drain chunk: exact after flush(),
   /// at most one chunk per shard behind while a drain is running.
-  MetricsRegistry& metrics() noexcept { return metrics_; }
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
+  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
+  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
   const core::StableTemperaturePredictor& stable_predictor() const noexcept {
     return predictor_;
   }
@@ -151,7 +151,7 @@ class FleetEngine {
 
   core::StableTemperaturePredictor predictor_;
   FleetEngineOptions options_;
-  MetricsRegistry metrics_;
+  obs::MetricsRegistry metrics_;
   ShardMetrics shard_metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// mutable: const queries (forecast_batch, hotspot_scan) parallelize on
@@ -164,11 +164,11 @@ class FleetEngine {
   std::vector<Route> routes_;  ///< indexed by handle
   std::unordered_map<std::string, HostHandle> names_;
 
-  Counter* batches_ = nullptr;
-  Counter* forecasts_ = nullptr;
-  Counter* scans_ = nullptr;
-  Gauge* hosts_gauge_ = nullptr;
-  Histogram* forecast_batch_us_ = nullptr;
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* forecasts_ = nullptr;
+  obs::Counter* scans_ = nullptr;
+  obs::Gauge* hosts_gauge_ = nullptr;
+  obs::Histogram* forecast_batch_us_ = nullptr;
 };
 
 }  // namespace vmtherm::serve

@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "core/dynamic_predictor.h"
-#include "mgmt/monitor.h"
+#include "mgmt/host_config.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace vmtherm::serve {
 
@@ -145,7 +144,6 @@ struct HostSnapshot {
   std::string host_id;
   mgmt::MonitoredConfig config;
   core::DynamicPredictorState tracker;
-  RunningStats residuals;
   double drift_positive = 0.0;
   double drift_negative = 0.0;
   bool drifted = false;

@@ -44,7 +44,7 @@ std::size_t Shard::resolve_chunk(const std::vector<QueuedEvent>& events,
       continue;
     }
     try {
-      event.config->server.validate();
+      event.config->validate();
     } catch (const Error&) {
       continue;  // pass 2 counts it in apply.errors
     }
@@ -121,7 +121,7 @@ void Shard::resolve_psi(std::span<const mgmt::MonitoredConfig* const> configs,
 }
 
 void Shard::publish_tally() {
-  const auto publish = [](Counter* counter, std::uint64_t& count) {
+  const auto publish = [](obs::Counter* counter, std::uint64_t& count) {
     if (count == 0) return;
     counter->add(count);
     count = 0;
@@ -141,7 +141,7 @@ void Shard::publish_tally() {
 std::uint32_t Shard::add_host(std::string host_id,
                               mgmt::MonitoredConfig config, double t0,
                               double measured_c) {
-  config.server.validate();
+  config.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
   // ψ under the state lock: the cache and scratch buffers are shard state.
   // A registration resolves as a one-condition chunk.
@@ -153,7 +153,6 @@ std::uint32_t Shard::add_host(std::string host_id,
                  core::DynamicTemperaturePredictor(options_->dynamic),
                  core::CusumDetector(options_->drift_slack_c,
                                      options_->drift_threshold_c),
-                 {},
                  obs::HostAccuracy(options_->accuracy_window),
                  true};
   host.tracker.begin(t0, measured_c, psi);
@@ -164,14 +163,13 @@ std::uint32_t Shard::add_host(std::string host_id,
 }
 
 std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
-  snapshot.config.server.validate();
+  snapshot.config.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
   HostState host{snapshot.host_id,
                  snapshot.config,
                  core::DynamicTemperaturePredictor(options_->dynamic),
                  core::CusumDetector(options_->drift_slack_c,
                                      options_->drift_threshold_c),
-                 snapshot.residuals,
                  obs::HostAccuracy(options_->accuracy_window),
                  true};
   host.tracker.restore_state(snapshot.tracker);
@@ -304,8 +302,8 @@ void Shard::drain_until_empty() {
 
 void Shard::apply(const QueuedEvent& event, const double* psi) {
   // Unknown hosts and non-finite times or readings are rejected before any
-  // host state is touched: one bad reading must not poison γ, the
-  // residual statistics or the snapshot.
+  // host state is touched: one bad reading must not poison γ, the drift
+  // and accuracy trackers or the snapshot.
   if (!accepts(event)) {
     ++tally_.apply_errors;
     return;
@@ -319,7 +317,6 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
         // before the observation updates it.
         const double predicted = host.tracker.predict_at(event.time_s);
         const double residual = event.measured_c - predicted;
-        host.residuals.add(residual);
         ++tally_.abs_error_buckets[metrics_.calibration_abs_error_c->bucket_of(
             std::abs(residual))];
         const bool was_drifted = host.drift.drifted();
@@ -343,8 +340,10 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
           ++tally_.apply_errors;
           break;
         }
-        host.config = *event.config;
+        // A throwing retarget leaves the tracker unchanged; the config is
+        // copied after it so a rejected update leaves both as they were.
         host.tracker.retarget(event.time_s, event.measured_c, *psi);
+        host.config = *event.config;
         ++tally_.config_applied;
         break;
       }
@@ -405,7 +404,6 @@ void Shard::append_snapshots(std::vector<HostSnapshot>& out) const {
     snapshot.host_id = host.host_id;
     snapshot.config = host.config;
     snapshot.tracker = host.tracker.export_state();
-    snapshot.residuals = host.residuals;
     snapshot.drift_positive = host.drift.positive_sum();
     snapshot.drift_negative = host.drift.negative_sum();
     snapshot.drifted = host.drift.drifted();

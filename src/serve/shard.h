@@ -2,7 +2,7 @@
 //
 // One shard of the fleet-serving engine: a bounded MPSC ingestion queue
 // plus the owned state of every host the stable hash assigned here (config,
-// calibrated dynamic predictor, residual statistics, CUSUM drift state).
+// calibrated dynamic predictor, CUSUM drift state, rolling accuracy window).
 //
 // Concurrency protocol (see DESIGN.md §7):
 //  * queue_mutex_ guards the event queue and the drain-claim flag; any
@@ -39,8 +39,8 @@
 #include "core/drift.h"
 #include "core/stable_predictor.h"
 #include "obs/accuracy.h"
+#include "obs/metrics.h"
 #include "serve/event.h"
-#include "serve/metrics.h"
 #include "serve/psi_cache.h"
 #include "util/thread_pool.h"
 
@@ -54,19 +54,20 @@ namespace vmtherm::serve {
 /// chunk, so they are exact after a flush and lag by at most one chunk per
 /// shard mid-drain.
 struct ShardMetrics {
-  Counter* ingested = nullptr;       ///< events accepted into a queue
-  Counter* dropped = nullptr;        ///< events rejected (kDropNewest)
-  Counter* observe_applied = nullptr;
-  Counter* config_applied = nullptr;
-  Counter* apply_errors = nullptr;   ///< unknown host / bad event payload
-  Counter* drift_signals = nullptr;  ///< hosts whose CUSUM newly latched
-  Gauge* queue_high_water = nullptr; ///< max queue depth seen (timing)
+  obs::Counter* ingested = nullptr;        ///< events accepted into a queue
+  obs::Counter* dropped = nullptr;         ///< events rejected (kDropNewest)
+  obs::Counter* observe_applied = nullptr;
+  obs::Counter* config_applied = nullptr;
+  obs::Counter* apply_errors = nullptr;    ///< unknown host / bad payload
+  obs::Counter* drift_signals = nullptr;   ///< hosts whose CUSUM newly latched
+  obs::Gauge* queue_high_water = nullptr;  ///< max queue depth seen (timing)
   /// ψ_stable memoization traffic. Timing-class: the hit/miss split
   /// depends on how hosts land on shards, not on what the engine computes.
-  Counter* psi_cache_hits = nullptr;
-  Counter* psi_cache_misses = nullptr;
-  Histogram* calibration_abs_error_c = nullptr;
-  Histogram* drain_batch_us = nullptr;  ///< per-chunk apply latency (timing)
+  obs::Counter* psi_cache_hits = nullptr;
+  obs::Counter* psi_cache_misses = nullptr;
+  obs::Histogram* calibration_abs_error_c = nullptr;
+  /// Per-chunk apply latency (timing).
+  obs::Histogram* drain_batch_us = nullptr;
 };
 
 class Shard {
@@ -155,7 +156,6 @@ class Shard {
     mgmt::MonitoredConfig config;
     core::DynamicTemperaturePredictor tracker;
     core::CusumDetector drift;
-    RunningStats residuals;
     obs::HostAccuracy accuracy;
     bool live = false;
   };

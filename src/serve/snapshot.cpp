@@ -93,15 +93,12 @@ void save_host(std::ostream& os, const HostSnapshot& host) {
   os << "tracker " << (t.started ? 1 : 0) << " " << t.t0 << " " << t.gamma
      << " " << t.last_update_s << " " << t.last_observed_s << " " << t.phi0
      << " " << t.psi_stable << "\n";
-  const RunningStats& r = host.residuals;
-  os << "resid " << r.count() << " " << r.mean() << " "
-     << r.sum_squared_deviations() << " " << r.min() << " " << r.max()
-     << "\n";
   os << "cusum " << host.drift_positive << " " << host.drift_negative << " "
      << (host.drifted ? 1 : 0) << " " << host.drift_observations << "\n";
 }
 
-HostSnapshot load_host(std::istream& is) {
+/// `v1`: the host carries a `resid` line, which is parsed and discarded.
+HostSnapshot load_host(std::istream& is, bool v1) {
   HostSnapshot host;
   expect(is, "host");
   host.host_id = read_token(is, "host id");
@@ -146,16 +143,12 @@ HostSnapshot load_host(std::istream& is) {
       read_value<double>(is, "tracker last observed");
   host.tracker.phi0 = read_value<double>(is, "tracker phi0");
   host.tracker.psi_stable = read_value<double>(is, "tracker psi_stable");
-  expect(is, "resid");
-  const auto n = read_value<std::size_t>(is, "residual count");
-  const auto mean = read_value<double>(is, "residual mean");
-  const auto m2 = read_value<double>(is, "residual m2");
-  const auto min = read_value<double>(is, "residual min");
-  const auto max = read_value<double>(is, "residual max");
-  try {
-    host.residuals = RunningStats::from_parts(n, mean, m2, min, max);
-  } catch (const ConfigError& e) {
-    throw IoError(std::string("fleet snapshot: ") + e.what());
+  if (v1) {
+    expect(is, "resid");
+    for (const char* what : {"residual count", "residual mean", "residual m2",
+                             "residual min", "residual max"}) {
+      (void)read_value<double>(is, what);
+    }
   }
   expect(is, "cusum");
   host.drift_positive = read_value<double>(is, "cusum positive");
@@ -170,7 +163,7 @@ HostSnapshot load_host(std::istream& is) {
 void save_fleet(std::ostream& os, FleetEngine& engine) {
   engine.flush();
   os << std::setprecision(17);
-  os << "vmtherm_fleet v1\n";
+  os << "vmtherm_fleet v2\n";
   const FleetEngineOptions& opt = engine.options();
   os << "dynamic " << opt.dynamic.learning_rate << " "
      << opt.dynamic.update_interval_s << " " << opt.dynamic.t_break_s << " "
@@ -192,15 +185,17 @@ void save_fleet(std::ostream& os, FleetEngine& engine) {
   std::ostringstream metrics;
   metrics << std::setprecision(17);
   engine.metrics().for_each_counter(
-      [&](const std::string& name, MetricKind kind, const Counter& counter) {
-        if (kind != MetricKind::kDeterministic) return;
+      [&](const std::string& name, obs::MetricKind kind,
+          const obs::Counter& counter) {
+        if (kind != obs::MetricKind::kDeterministic) return;
         require_token_safe(name, "metric name");
         metrics << "counter " << name << " " << counter.value() << "\n";
         ++metric_count;
       });
   engine.metrics().for_each_histogram(
-      [&](const std::string& name, MetricKind kind, const Histogram& hist) {
-        if (kind != MetricKind::kDeterministic) return;
+      [&](const std::string& name, obs::MetricKind kind,
+          const obs::Histogram& hist) {
+        if (kind != obs::MetricKind::kDeterministic) return;
         require_token_safe(name, "metric name");
         metrics << "hist " << name << " " << hist.upper_bounds().size();
         for (const double bound : hist.upper_bounds()) {
@@ -220,7 +215,10 @@ void save_fleet(std::ostream& os, FleetEngine& engine) {
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options) {
   expect(is, "vmtherm_fleet");
-  expect(is, "v1");
+  const std::string version = read_token(is, "format version");
+  if (version != "v1" && version != "v2") {
+    throw IoError("fleet snapshot: unsupported version '" + version + "'");
+  }
   expect(is, "dynamic");
   options.dynamic.learning_rate = read_value<double>(is, "learning rate");
   options.dynamic.update_interval_s =
@@ -243,7 +241,7 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
   expect(is, "hosts");
   const auto host_count = read_value<std::size_t>(is, "host count");
   for (std::size_t i = 0; i < host_count; ++i) {
-    engine->import_host(load_host(is));
+    engine->import_host(load_host(is, version == "v1"));
   }
 
   expect(is, "metrics");

@@ -50,24 +50,6 @@ double RunningStats::sample_variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-RunningStats RunningStats::from_parts(std::size_t n, double mean, double m2,
-                                      double min, double max) {
-  RunningStats stats;
-  if (n == 0) {
-    detail::require(mean == 0.0 && m2 == 0.0 && min == 0.0 && max == 0.0,
-                    "empty RunningStats must have all-zero moments");
-    return stats;
-  }
-  detail::require(m2 >= 0.0, "RunningStats m2 must be non-negative");
-  detail::require(min <= max, "RunningStats min must not exceed max");
-  stats.n_ = n;
-  stats.mean_ = mean;
-  stats.m2_ = m2;
-  stats.min_ = min;
-  stats.max_ = max;
-  return stats;
-}
-
 double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   double sum = 0.0;

@@ -41,17 +41,6 @@ class RunningStats {
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
-  /// Sum of squared deviations from the mean (Welford's M2). Together with
-  /// count/mean/min/max this is the accumulator's full state; exposed so
-  /// serving-layer snapshots can persist and restore it losslessly.
-  double sum_squared_deviations() const noexcept { return m2_; }
-
-  /// Reconstructs an accumulator from persisted parts (inverse of the
-  /// accessors above). Throws ConfigError on inconsistent parts (negative
-  /// m2, n == 0 with non-zero moments, min > max).
-  static RunningStats from_parts(std::size_t n, double mean, double m2,
-                                 double min, double max);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

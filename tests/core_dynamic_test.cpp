@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 namespace vmtherm::core {
 namespace {
@@ -188,6 +192,32 @@ TEST(DynamicPredictorTest, RetargetBeforeObservationsThrows) {
   p.begin(0.0, 30.0, 60.0);
   p.observe(100.0, 40.0);
   EXPECT_THROW(p.retarget(50.0, 40.0, 55.0), ConfigError);
+}
+
+TEST(DynamicPredictorTest, FailedRetargetLeavesStateUnchanged) {
+  // Every field of the state, doubles by bit pattern.
+  const auto bits = [](const DynamicPredictorState& s) {
+    return std::vector<std::uint64_t>{
+        s.started ? 1u : 0u,
+        std::bit_cast<std::uint64_t>(s.t0),
+        std::bit_cast<std::uint64_t>(s.gamma),
+        std::bit_cast<std::uint64_t>(s.last_update_s),
+        std::bit_cast<std::uint64_t>(s.last_observed_s),
+        std::bit_cast<std::uint64_t>(s.phi0),
+        std::bit_cast<std::uint64_t>(s.psi_stable)};
+  };
+  DynamicTemperaturePredictor p(paper_options());
+  p.begin(0.0, 30.0, 60.0);
+  p.observe(15.0, p.curve().value(15.0) + 2.0);
+  const std::vector<std::uint64_t> before = bits(p.export_state());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(p.retarget(300.0, 52.0, nan), ConfigError);
+  EXPECT_EQ(bits(p.export_state()), before);
+  EXPECT_THROW(p.retarget(300.0, inf, 48.0), ConfigError);
+  EXPECT_EQ(bits(p.export_state()), before);
+  EXPECT_EQ(p.curve().psi_stable(), 60.0);
 }
 
 TEST(DynamicPredictorTest, PredictAheadUsesLatestObservationTime) {

@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/metrics.h"
+#include "obs/metrics.h"
 
 namespace vmtherm::obs {
 namespace {
@@ -180,7 +180,7 @@ TEST(TraceTest, SummariesPublishAsTimingMetricsOnly) {
   recorder.record(make_event("drain", 0, 3000));
   recorder.record(make_event("drain", 0, 1));  // dropped
 
-  serve::MetricsRegistry registry;
+  MetricsRegistry registry;
   registry.counter("events").add(5);
   const std::string deterministic_before =
       registry.to_json(/*include_timing=*/false);

@@ -1,4 +1,4 @@
-// Malformed-input robustness: table-driven corruption of `vmtherm_fleet v1`
+// Malformed-input robustness: table-driven corruption of `vmtherm_fleet v2`
 // snapshots and ml/model_io files (truncation, field swaps, NaN injection,
 // implausible counts, garbage tokens). Every corrupted input must fail with
 // a clean vmtherm::Error (IoError/ConfigError/DataError) — never UB, a
@@ -116,7 +116,7 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
   const std::vector<Corruption> corruptions = {
       {"bad-magic",
        [](const std::string& s) {
-         return replace_first(s, "vmtherm_fleet v1", "vmtherm_fleet v9");
+         return replace_first(s, "vmtherm_fleet v2", "vmtherm_fleet v9");
        }},
       {"truncated-quarter",
        [](const std::string& s) { return s.substr(0, s.size() / 4); }},

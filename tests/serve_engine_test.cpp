@@ -17,6 +17,7 @@
 
 #include "core/evaluator.h"
 #include "serve/snapshot.h"
+#include "sim/machine.h"
 
 namespace vmtherm::serve {
 namespace {
@@ -92,6 +93,16 @@ TEST(FleetEngineTest, RegisterQueryUnregister) {
   EXPECT_EQ(engine.config_of(h1).fans, 4);
   EXPECT_EQ(engine.metrics().gauge("fleet.hosts").value(), 1);
 
+  // A fresh host heads from its reading toward the busy config's ψ_stable.
+  const mgmt::MonitoredConfig busy = busy_config();
+  const double stable = engine.stable_predictor().predict(
+      busy.server, busy.vms, busy.fans, busy.env_temp_c);
+  EXPECT_GT(stable, 30.0);
+  const double near = engine.forecast(h1, 30.0);
+  const double far = engine.forecast(h1, 590.0);
+  EXPECT_GT(far, near);
+  EXPECT_NEAR(far, stable, 6.0);
+
   EXPECT_THROW(engine.register_host("h1", busy_config(), 0.0, 23.0),
                ConfigError);
   EXPECT_THROW(engine.register_host("", busy_config(), 0.0, 23.0),
@@ -163,28 +174,87 @@ TEST(FleetEngineTest, ManualDrainAppliesInOrder) {
   EXPECT_GT(engine.forecast(h, 60.0), 23.0);
 }
 
+/// ψ_stable of a config from the predictor's public scalar entry point.
+double scalar_psi(const mgmt::MonitoredConfig& config) {
+  return shared_predictor().predict(config.server, config.vms, config.fans,
+                                    config.env_temp_c);
+}
+
 TEST(FleetEngineTest, MatchesMonitorServiceBitwise) {
-  // Same event stream, same defaults: the sharded engine and the serial
-  // ThermalMonitorService must produce identical forecasts.
+  // Same event stream, same defaults: the sharded engine and a serial
+  // reference, one bare core tracker retargeted at the scalar ψ_stable,
+  // must produce identical forecasts.
   FleetEngine engine(shared_predictor(), manual_options(3));
-  mgmt::ThermalMonitorService monitor(shared_predictor());
+  core::DynamicTemperaturePredictor serial(FleetEngineOptions{}.dynamic);
   const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
-  monitor.register_host("h1", busy_config(), 0.0, 23.0);
+  serial.begin(0.0, 23.0, scalar_psi(busy_config()));
 
   for (double t = 15.0; t <= 300.0; t += 15.0) {
     const double measured = 30.0 + t * 0.08;
     engine.ingest(TelemetryEvent::observe(h, t, measured));
-    monitor.observe("h1", t, measured);
+    serial.observe(t, measured);
   }
   engine.ingest(
       TelemetryEvent::update_config(h, 315.0, 52.0, idle_config()));
-  monitor.update_config("h1", idle_config(), 315.0, 52.0);
+  serial.retarget(315.0, 52.0, scalar_psi(idle_config()));
   engine.flush();
 
   for (const double gap : {0.0, 30.0, 60.0, 600.0}) {
-    EXPECT_EQ(engine.forecast(h, gap), monitor.forecast("h1", gap));
+    EXPECT_EQ(engine.forecast(h, gap), serial.predict_ahead(gap));
   }
   EXPECT_EQ(engine.calibration_of(h), 0.0);  // retarget resets gamma
+
+  // The update retargeted the host at the idle config's much cooler
+  // ψ_stable (consistency of the retargeted curve, not model accuracy).
+  const double busy_stable = scalar_psi(busy_config());
+  const double idle_stable = scalar_psi(idle_config());
+  EXPECT_EQ(engine.config_of(h).vms.size(), 1u);
+  EXPECT_LT(idle_stable, busy_stable - 5.0);
+  EXPECT_NEAR(engine.forecast(h, 590.0), idle_stable, 2.0);
+  EXPECT_LT(engine.forecast(h, 590.0), busy_stable - 4.0);
+}
+
+TEST(FleetEngineTest, ObservationsCalibrateForecasts) {
+  FleetEngine engine(shared_predictor(), manual_options(1));
+  const HostHandle h = engine.register_host("h1", busy_config(), 0.0, 23.0);
+  // Feed measurements consistently 4 C above the model's own trajectory.
+  for (double t = 15.0; t <= 300.0; t += 15.0) {
+    const double model_now = engine.forecast(h, 0.0);
+    engine.ingest(TelemetryEvent::observe(h, t, model_now + 4.0));
+    engine.flush();
+  }
+  ASSERT_GT(engine.calibration_of(h), 0.0);
+  // After many updates the forecast carries (most of) the offset.
+  const double before_offset = engine.forecast(h, 0.0);
+  engine.ingest(TelemetryEvent::observe(h, 315.0, before_offset));
+  engine.flush();
+  EXPECT_GT(engine.forecast(h, 0.0), before_offset - 1.0);
+}
+
+TEST(FleetEngineTest, TracksLiveSimulatedMachine) {
+  // End to end: one host on one manually drained shard tracks a simulated
+  // machine within a tight MAE.
+  FleetEngine engine(shared_predictor(), manual_options(1));
+  sim::MachineOptions machine_options;
+  machine_options.initial_temp_c = 23.0;
+  sim::PhysicalMachine machine(sim::make_server_spec("medium"),
+                               machine_options, Rng(3));
+  const sim::VmConfig burn = busy_config().vms.front();
+  machine.add_vm(sim::Vm("b0", burn, Rng(4)));
+  machine.add_vm(sim::Vm("b1", burn, Rng(5)));
+  const HostHandle h = engine.register_host("m", busy_config(), 0.0, 23.0);
+
+  double abs_err = 0.0;
+  int n = 0;
+  for (int step = 1; step <= 240; ++step) {
+    const auto sample = machine.step(5.0, 23.0);
+    abs_err += std::abs(engine.forecast(h, 0.0) - sample.cpu_temp_sensed_c);
+    ++n;
+    engine.ingest(TelemetryEvent::observe(h, sample.time_s,
+                                          sample.cpu_temp_sensed_c));
+    engine.flush();
+  }
+  EXPECT_LT(abs_err / n, 2.0);
 }
 
 TEST(FleetEngineTest, BackpressureDropsNewestWhenFull) {
@@ -210,6 +280,9 @@ TEST(FleetEngineTest, InvalidHandleRejectedUpFront) {
                ConfigError);
   EXPECT_THROW((void)engine.forecast_batch({ForecastRequest{7, 60.0}}),
                ConfigError);
+  EXPECT_THROW((void)engine.forecast(7, 60.0), ConfigError);
+  EXPECT_THROW((void)engine.config_of(7), ConfigError);
+  EXPECT_THROW(engine.unregister_host(7), ConfigError);
   // The rejected batch enqueued nothing.
   EXPECT_EQ(engine.metrics().counter("ingest.events").value(), 0u);
 }
@@ -344,9 +417,10 @@ constexpr const char* kTallyGoldenJson =
     "\"p50\":0.28125,\"p99\":8}}}";
 
 std::uint64_t psi_lookups(FleetEngine& engine) {
-  MetricsRegistry& registry = engine.metrics();
-  return registry.counter("psi_cache.hits", MetricKind::kTiming).value() +
-         registry.counter("psi_cache.misses", MetricKind::kTiming).value();
+  constexpr auto kTiming = obs::MetricKind::kTiming;
+  obs::MetricsRegistry& registry = engine.metrics();
+  return registry.counter("psi_cache.hits", kTiming).value() +
+         registry.counter("psi_cache.misses", kTiming).value();
 }
 
 std::string metric_lines(const std::string& snapshot) {
@@ -478,6 +552,31 @@ TEST(FleetEngineTest, NonFiniteReadingIsRejectedBeforeHostState) {
     EXPECT_EQ(engine.metrics().counter("apply.errors").value(),
               errors_before + 3);
     EXPECT_EQ(engine.config_of(handles[4]).vms.size(), 2u);  // unchanged
+
+    // So is an update whose config is invalid: a non-finite room
+    // temperature, or a fan count outside 1..fan_slots. Neither reaches
+    // the host's config or tracker.
+    std::vector<double> forecasts_before;
+    for (const HostHandle h : handles) {
+      forecasts_before.push_back(engine.forecast(h, 60.0));
+    }
+    mgmt::MonitoredConfig nan_env = idle_config();
+    nan_env.env_temp_c = nan;
+    mgmt::MonitoredConfig bad_fans = idle_config();
+    bad_fans.fans = -3;
+    engine.ingest(
+        TelemetryEvent::update_config(handles[4], 30.0, 31.0, nan_env));
+    engine.ingest(
+        TelemetryEvent::update_config(handles[0], 30.0, 31.0, bad_fans));
+    engine.flush();
+    EXPECT_EQ(engine.metrics().counter("apply.errors").value(),
+              errors_before + 5);
+    EXPECT_EQ(engine.metrics().counter("apply.config_update").value(), 0u);
+    EXPECT_EQ(engine.config_of(handles[4]).env_temp_c, 23.0);
+    EXPECT_EQ(engine.config_of(handles[0]).fans, 4);
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      EXPECT_EQ(engine.forecast(handles[i], 60.0), forecasts_before[i]) << i;
+    }
 
     for (const HostHandle h : handles) {
       engine.ingest(TelemetryEvent::observe(h, 45.0, 31.0));
@@ -611,11 +710,11 @@ ChunkRunResult run_chunk_stream(const FleetEngineOptions& options) {
   save_fleet(snapshot, engine);
   result.snapshot = snapshot.str();
   result.deterministic_json = engine.metrics().to_json(false);
-  MetricsRegistry& registry = engine.metrics();
+  obs::MetricsRegistry& registry = engine.metrics();
   result.psi_hits =
-      registry.counter("psi_cache.hits", MetricKind::kTiming).value();
+      registry.counter("psi_cache.hits", obs::MetricKind::kTiming).value();
   result.psi_misses =
-      registry.counter("psi_cache.misses", MetricKind::kTiming).value();
+      registry.counter("psi_cache.misses", obs::MetricKind::kTiming).value();
   return result;
 }
 
@@ -642,7 +741,7 @@ std::vector<double> reference_chunk_forecasts() {
       if (e.host == kDoomedHost && e.config) continue;  // unregistered
       try {
         if (e.config) {
-          e.payload.server.validate();
+          e.payload.validate();
           trackers[e.host].retarget(e.time_s, e.measured_c,
                                     psi_of(e.payload));
         } else {

@@ -1,6 +1,7 @@
-// Tests for serve/metrics: counters, gauges, histograms and the registry.
+// Tests for obs/metrics, the registry the serving engine publishes into:
+// counters, gauges, histograms and the registry itself.
 
-#include "serve/metrics.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-namespace vmtherm::serve {
+namespace vmtherm::obs {
 namespace {
 
 TEST(MetricsTest, CounterAccumulates) {
@@ -211,4 +212,4 @@ TEST(MetricsTest, ConcurrentUpdatesAreLossless) {
 }
 
 }  // namespace
-}  // namespace vmtherm::serve
+}  // namespace vmtherm::obs

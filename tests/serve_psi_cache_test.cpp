@@ -245,12 +245,11 @@ RunResult run_fleet(std::size_t psi_capacity) {
   }
   result.deterministic_metrics =
       engine.metrics().to_json(/*include_timing=*/false);
+  obs::MetricsRegistry& registry = engine.metrics();
   result.psi_hits =
-      engine.metrics().counter("psi_cache.hits", MetricKind::kTiming).value();
+      registry.counter("psi_cache.hits", obs::MetricKind::kTiming).value();
   result.psi_misses =
-      engine.metrics()
-          .counter("psi_cache.misses", MetricKind::kTiming)
-          .value();
+      registry.counter("psi_cache.misses", obs::MetricKind::kTiming).value();
   return result;
 }
 

@@ -1,6 +1,6 @@
 // Tests for serve/replay: deterministic fleet replay — byte-identical
 // digests and metrics at any shard/thread count, and bitwise equivalence
-// with a serial ThermalMonitorService fed the same event stream.
+// with serial core trackers fed the same event stream.
 
 #include "serve/replay.h"
 
@@ -112,9 +112,10 @@ TEST(FleetReplayTest, ManualDrainMatchesPooledDrain) {
 
 TEST(FleetReplayTest, MatchesSerialMonitorService) {
   // Rebuild the replay's exact event stream (same sampler seed, same
-  // traces) and feed it to the serial, externally synchronized
-  // ThermalMonitorService: every per-step forecast must agree bitwise with
-  // the sharded engine's digest. No churn so both sides see pure observes.
+  // traces) and feed it to one bare core tracker per host, begun at the
+  // predictor's scalar ψ_stable: every per-step forecast must agree
+  // bitwise with the sharded engine's digest. No churn so both sides see
+  // pure observes.
   ReplayOptions options = small_replay();
   options.churn_every = 0;
   options.engine.shards = 4;
@@ -127,30 +128,29 @@ TEST(FleetReplayTest, MatchesSerialMonitorService) {
   sim::ScenarioSampler sampler(ranges, options.seed);
   const auto configs = sampler.sample(options.hosts);
 
-  mgmt::ThermalMonitorService monitor(shared_predictor());
+  std::vector<core::DynamicTemperaturePredictor> trackers(
+      options.hosts, core::DynamicTemperaturePredictor(options.engine.dynamic));
   std::vector<sim::TemperatureTrace> traces;
   for (std::size_t h = 0; h < options.hosts; ++h) {
     traces.push_back(sim::run_experiment(configs[h]).trace);
-    mgmt::MonitoredConfig config;
-    config.server = configs[h].server;
-    config.fans = configs[h].active_fans;
-    config.vms = configs[h].vms;
-    config.env_temp_c = configs[h].environment.base_c;
-    monitor.register_host(replay_host_id(h), config, traces[h][0].time_s,
-                          traces[h][0].cpu_temp_sensed_c);
+    trackers[h].begin(traces[h][0].time_s, traces[h][0].cpu_temp_sensed_c,
+                      shared_predictor().predict(
+                          configs[h].server, configs[h].vms,
+                          configs[h].active_fans,
+                          configs[h].environment.base_c));
   }
 
   std::uint64_t digest = util::kFnv1a64Offset;
   for (std::size_t step = 1; step <= options.steps; ++step) {
     for (std::size_t h = 0; h < options.hosts; ++h) {
       const auto index = std::min(step, traces[h].size() - 1);
-      monitor.observe(replay_host_id(h), traces[h][index].time_s,
-                      traces[h][index].cpu_temp_sensed_c);
+      trackers[h].observe(traces[h][index].time_s,
+                          traces[h][index].cpu_temp_sensed_c);
     }
     for (std::size_t h = 0; h < options.hosts; ++h) {
       digest = util::fnv1a64_mix(
           digest, std::bit_cast<std::uint64_t>(
-                      monitor.forecast(replay_host_id(h), options.gap_s)));
+                      trackers[h].predict_ahead(options.gap_s)));
     }
   }
   EXPECT_EQ(report.forecast_digest, digest);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/evaluator.h"
 
@@ -161,6 +162,52 @@ TEST(FleetSnapshotTest, FileRoundTrip) {
   const std::string id = "host-0";
   EXPECT_EQ(engine->forecast(engine->handle_of(id), 60.0),
             restored->forecast(restored->handle_of(id), 60.0));
+}
+
+/// `snapshot` with `resid_line` after every tracker line, where v1 files
+/// carry the lifetime residual statistic.
+std::string with_resid_lines(const std::string& snapshot,
+                             const std::string& resid_line) {
+  std::istringstream in(snapshot);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    out += line + "\n";
+    if (line.rfind("tracker ", 0) == 0) out += resid_line + "\n";
+  }
+  return out;
+}
+
+/// Swaps the format header; both versions' headers have the same length.
+std::string with_header(std::string snapshot, const std::string& header) {
+  return snapshot.replace(0, header.size(), header);
+}
+
+TEST(FleetSnapshotTest, LoadsV1SnapshotsAndDropsResiduals) {
+  auto engine = make_fed_engine(2, 20);
+  std::ostringstream v2;
+  save_fleet(v2, *engine);
+
+  std::istringstream v1(with_header(
+      with_resid_lines(v2.str(), "resid 20 0.25 3.5 -1.5 2.0000000000000004"),
+      "vmtherm_fleet v1"));
+  auto restored = load_fleet(v1, engine_options(3));
+  std::ostringstream resaved;
+  save_fleet(resaved, *restored);
+  EXPECT_EQ(resaved.str(), v2.str());
+  for (int i = 0; i < 3; ++i) {
+    const std::string id = "host-" + std::to_string(i);
+    EXPECT_EQ(engine->forecast(engine->handle_of(id), 60.0),
+              restored->forecast(restored->handle_of(id), 60.0));
+  }
+
+  // The discarded line is still parsed: a short one misaligns the stream,
+  // and a v2 file does not carry it at all.
+  std::istringstream short_resid(with_header(
+      with_resid_lines(v2.str(), "resid 20 0.25 3.5"), "vmtherm_fleet v1"));
+  EXPECT_THROW((void)load_fleet(short_resid), IoError);
+  std::istringstream v2_with_resid(
+      with_resid_lines(v2.str(), "resid 0 0 0 0 0"));
+  EXPECT_THROW((void)load_fleet(v2_with_resid), IoError);
 }
 
 TEST(FleetSnapshotTest, MalformedInputThrows) {

@@ -438,9 +438,8 @@ bool is_known_rule(const std::string& id) {
 bool in_determinism_scope(const std::string& path) {
   // src/obs is intentionally NOT here: observability is wall-clock business
   // (span timestamps, latency summaries) and everything it publishes is
-  // timing-class, outside the deterministic metrics subset. The serve
-  // metrics files are back in scope since the registry moved to src/obs
-  // (serve/metrics.h is now a clean alias header).
+  // timing-class, outside the deterministic metrics subset. All of
+  // src/serve is in scope: its metrics registry lives in src/obs.
   return starts_with(path, "src/core/") || starts_with(path, "src/ml/") ||
          starts_with(path, "src/sim/") || starts_with(path, "src/serve/");
 }
