@@ -20,8 +20,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DVMTHERM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \
   --target util_thread_pool_test ml_cv_test ml_grid_test ml_svr_inference_test cli_test \
-           serve_metrics_test serve_engine_test serve_snapshot_test serve_psi_cache_test \
-           serve_replay_test obs_trace_test obs_accuracy_test robustness_corruption_test
+           serve_metrics_test serve_engine_test serve_monitor_test serve_snapshot_test \
+           serve_psi_cache_test serve_replay_test obs_trace_test obs_accuracy_test robustness_corruption_test
 
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j 2 \

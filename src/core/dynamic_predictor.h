@@ -96,6 +96,9 @@ class DynamicTemperaturePredictor {
   void retarget(double t, double phi_now, double new_psi_stable);
 
   double calibration() const noexcept { return gamma_; }
+  /// Time of the latest observation, or of the latest begin()/retarget()
+  /// if later; observe() rejects an earlier time.
+  double last_observed_s() const noexcept { return last_observed_s_; }
   const DynamicOptions& options() const noexcept { return options_; }
 
   /// Plain-data copy of the mutable state (snapshot support).

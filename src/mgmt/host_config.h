@@ -44,4 +44,14 @@ struct HotspotRisk {
   bool at_risk = false;      ///< forecast >= threshold
 };
 
+/// The order of a fleet hotspot scan, total even when a forecast is NaN (a
+/// NaN reading poisons γ): numeric forecasts hottest first, NaN after all
+/// of them, host id ascending within each group.
+inline bool scan_before(double a_c, const std::string& a_id, double b_c,
+                        const std::string& b_id) noexcept {
+  if (std::isnan(a_c) != std::isnan(b_c)) return std::isnan(b_c);
+  if (a_c != b_c && !std::isnan(a_c)) return a_c > b_c;
+  return a_id < b_id;
+}
+
 }  // namespace vmtherm::mgmt

@@ -263,29 +263,35 @@ std::vector<mgmt::HotspotRisk> FleetEngine::hotspot_scan(
   scans_->add(1);
   std::vector<std::vector<mgmt::HotspotRisk>> per_shard(shards_.size());
   pool_.parallel_for(0, shards_.size(), [&](std::size_t s) {
-    shards_[s]->append_risks(horizon_s, threshold_c, per_shard[s]);
+    per_shard[s] = shards_[s]->ranked_risks(horizon_s, threshold_c);
   });
 
-  std::vector<mgmt::HotspotRisk> risks;
+  // k-way merge of the ranked lists: a heap of the shards with rows left,
+  // the shard whose next row ranks first on top.
+  std::vector<std::size_t> next(per_shard.size(), 0), heap;
   std::size_t total = 0;
-  for (const auto& rows : per_shard) total += rows.size();
-  risks.reserve(total);
-  for (auto& rows : per_shard) {
-    for (auto& row : rows) risks.push_back(std::move(row));
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    total += per_shard[s].size();
+    if (!per_shard[s].empty()) heap.push_back(s);
   }
-  // A total order even when a forecast is NaN (a NaN reading poisons γ):
-  // numeric rows hottest first, NaN rows after all of them, host id
-  // ascending within each group.
-  std::sort(risks.begin(), risks.end(),
-            [](const mgmt::HotspotRisk& a, const mgmt::HotspotRisk& b) {
-              const bool a_nan = std::isnan(a.forecast_c);
-              const bool b_nan = std::isnan(b.forecast_c);
-              if (a_nan != b_nan) return b_nan;
-              if (!a_nan && a.forecast_c != b.forecast_c) {
-                return a.forecast_c > b.forecast_c;
-              }
-              return a.host_id < b.host_id;
-            });
+  const auto later = [&](std::size_t a, std::size_t b) {
+    const mgmt::HotspotRisk& x = per_shard[a][next[a]];
+    const mgmt::HotspotRisk& y = per_shard[b][next[b]];
+    return mgmt::scan_before(y.forecast_c, y.host_id, x.forecast_c, x.host_id);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<mgmt::HotspotRisk> risks;
+  risks.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t s = heap.back();
+    risks.push_back(std::move(per_shard[s][next[s]++]));
+    if (next[s] < per_shard[s].size()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
   return risks;
 }
 

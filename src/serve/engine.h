@@ -104,9 +104,9 @@ class FleetEngine {
   std::vector<double> forecast_batch(
       const std::vector<ForecastRequest>& requests) const;
 
-  /// Fleet-wide risk scan, parallel over shards. Rows sorted hottest
-  /// first, host id ascending on ties; rows with a NaN forecast come last,
-  /// by host id (deterministic merge).
+  /// Fleet-wide risk scan: each shard ranks its rows on the pool, then the
+  /// ranked lists are merged in mgmt::scan_before order (hottest first,
+  /// NaN forecasts last, host id on ties), the same at any shard count.
   std::vector<mgmt::HotspotRisk> hotspot_scan(double horizon_s,
                                               double threshold_c) const;
 
@@ -145,8 +145,6 @@ class FleetEngine {
     bool live = false;
   };
 
-  HostHandle add_route(const std::string& host_id, std::uint32_t shard,
-                       std::uint32_t slot);
   Route route_of(HostHandle handle) const;
 
   core::StableTemperaturePredictor predictor_;

@@ -184,9 +184,15 @@ std::string Shard::remove_host(std::uint32_t slot) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   detail::require(slot < hosts_.size() && hosts_[slot].live,
                   "shard slot is not live");
-  hosts_[slot].live = false;
+  HostState& host = hosts_[slot];
+  host.live = false;
   --live_count_;
-  return std::move(hosts_[slot].host_id);
+  // The tombstone keeps its slot (queued events for it still count as
+  // apply errors) but frees the config's VM list and shrinks the accuracy
+  // ring to one entry.
+  host.config = mgmt::MonitoredConfig{};
+  host.accuracy = obs::HostAccuracy(1);
+  return std::move(host.host_id);
 }
 
 std::size_t Shard::live_host_count() const {
@@ -313,6 +319,12 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
     switch (event.type) {
       case TelemetryEvent::Type::kObserve: {
         VMTHERM_SPAN("serve.observe", "serve");
+        // An observation that goes back in time is rejected before it is
+        // scored, so it moves neither the drift state nor the histogram.
+        if (event.time_s < host.tracker.last_observed_s()) {
+          ++tally_.apply_errors;
+          break;
+        }
         // Prequential residual: score the current calibrated prediction
         // before the observation updates it.
         const double predicted = host.tracker.predict_at(event.time_s);
@@ -383,17 +395,30 @@ bool Shard::drifted(std::uint32_t slot) const {
   return hosts_[slot].drift.drifted();
 }
 
-void Shard::append_risks(double horizon_s, double threshold_c,
-                         std::vector<mgmt::HotspotRisk>& out) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  for (const HostState& host : hosts_) {
-    if (!host.live) continue;
-    mgmt::HotspotRisk risk;
-    risk.host_id = host.host_id;
-    risk.forecast_c = host.tracker.predict_ahead(horizon_s);
-    risk.at_risk = risk.forecast_c >= threshold_c;
-    out.push_back(std::move(risk));
+std::vector<mgmt::HotspotRisk> Shard::ranked_risks(double horizon_s,
+                                                   double threshold_c) const {
+  std::vector<mgmt::HotspotRisk> rows;
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    rows.reserve(live_count_);
+    for (const HostState& host : hosts_) {
+      if (!host.live) continue;
+      const double forecast = host.tracker.predict_ahead(horizon_s);
+      rows.push_back({host.host_id, forecast, forecast >= threshold_c});
+    }
   }
+  // Ranked outside the lock, on compact {forecast, row} keys.
+  std::vector<std::pair<double, std::size_t>> keys;
+  keys.reserve(rows.size());
+  for (const auto& row : rows) keys.emplace_back(row.forecast_c, keys.size());
+  std::sort(keys.begin(), keys.end(), [&rows](const auto& a, const auto& b) {
+    return mgmt::scan_before(a.first, rows[a.second].host_id, b.first,
+                             rows[b.second].host_id);
+  });
+  std::vector<mgmt::HotspotRisk> ranked;
+  ranked.reserve(rows.size());
+  for (const auto& key : keys) ranked.push_back(std::move(rows[key.second]));
+  return ranked;
 }
 
 void Shard::append_snapshots(std::vector<HostSnapshot>& out) const {

@@ -109,8 +109,9 @@ class Shard {
   /// Restores a host from a snapshot (exact tracker state, no begin()).
   std::uint32_t import_host(const HostSnapshot& snapshot);
 
-  /// Tombstones a slot and returns the removed host's id; queued events
-  /// addressed to it count as apply errors.
+  /// Tombstones a slot, frees the removed host's config and accuracy ring
+  /// (it keeps one entry), and returns its id; queued events addressed to
+  /// it count as apply errors.
   std::string remove_host(std::uint32_t slot);
 
   std::size_t live_host_count() const;
@@ -138,10 +139,11 @@ class Shard {
   double calibration_of(std::uint32_t slot) const;
   bool drifted(std::uint32_t slot) const;
 
-  /// Appends one HotspotRisk per live host (unsorted; the engine merges
-  /// and sorts).
-  void append_risks(double horizon_s, double threshold_c,
-                    std::vector<mgmt::HotspotRisk>& out) const;
+  /// One HotspotRisk per live host in mgmt::scan_before order (the engine
+  /// merges the shards' lists). The state lock covers only the forecasts;
+  /// the rows are ranked after it is released.
+  std::vector<mgmt::HotspotRisk> ranked_risks(double horizon_s,
+                                              double threshold_c) const;
 
   /// Appends one HostSnapshot per live host (unsorted).
   void append_snapshots(std::vector<HostSnapshot>& out) const;

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -336,19 +338,106 @@ TEST(FleetEngineTest, HotspotScanOrdersNanForecastsLast) {
   }
 }
 
+TEST(FleetEngineTest, HotspotScanMatchesReferenceOrderAtAnyTopology) {
+  // Four groups of hosts, each fed one identical stream, so every group
+  // ties on its forecast and the tie spreads over shards: two numeric
+  // groups, one driven to NaN by the ±1e308 overflow of
+  // HotspotScanOrdersNanForecastsLast, one left at its registration.
+  // Every fifth host is unregistered before the scan.
+  constexpr int kHosts = 40;
+  constexpr double kHorizonS = 60.0;
+  FleetEngineOptions pooled;
+  pooled.shards = 4;
+  pooled.threads = 2;
+  pooled.drain = DrainMode::kAuto;
+  std::vector<FleetEngineOptions> topologies;
+  for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
+    topologies.push_back(manual_options(shards));
+  }
+  topologies.push_back(pooled);
+  for (const FleetEngineOptions& options : topologies) {
+    SCOPED_TRACE(options.shards);
+    FleetEngine engine(shared_predictor(), options);
+    std::vector<HostHandle> handles;
+    for (int i = 0; i < kHosts; ++i) {
+      handles.push_back(engine.register_host(
+          "scan-" + std::to_string(i),
+          i % 4 == 1 ? idle_config() : busy_config(), 0.0, 23.0));
+    }
+    const double absurd[] = {1e308, -1e308, 30.0};
+    for (int step = 0; step < 3; ++step) {
+      std::vector<TelemetryEvent> batch;
+      for (int i = 0; i < kHosts; ++i) {
+        if (i % 4 == 3) continue;
+        const double measured = i % 4 == 2 ? absurd[step] : 30.0 + step;
+        batch.push_back(
+            TelemetryEvent::observe(handles[i], 15.0 * (step + 1), measured));
+      }
+      engine.ingest_batch(std::move(batch));
+    }
+    engine.flush();
+    for (int i = 0; i < kHosts; i += 5) engine.unregister_host(handles[i]);
+
+    // The reference: per-host forecast() ranked by the shared scan order,
+    // at a threshold that one tied group meets exactly.
+    const double threshold_c = engine.forecast(handles[4], kHorizonS);
+    std::vector<mgmt::HotspotRisk> reference;
+    for (int i = 0; i < kHosts; ++i) {
+      if (i % 5 == 0) continue;
+      const double forecast = engine.forecast(handles[i], kHorizonS);
+      reference.push_back(
+          {"scan-" + std::to_string(i), forecast, forecast >= threshold_c});
+    }
+    std::sort(reference.begin(), reference.end(),
+              [](const mgmt::HotspotRisk& a, const mgmt::HotspotRisk& b) {
+                return mgmt::scan_before(a.forecast_c, a.host_id, b.forecast_c,
+                                         b.host_id);
+              });
+    // NaN rows occur, and rows that tie sit on different shards.
+    std::size_t nan_rows = 0;
+    std::size_t cross_shard_ties = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const double forecast = reference[i].forecast_c;
+      if (std::isnan(forecast)) ++nan_rows;
+      if (i == 0) continue;
+      const double previous = reference[i - 1].forecast_c;
+      const bool tie = forecast == previous ||
+                       (std::isnan(forecast) && std::isnan(previous));
+      if (tie && engine.shard_of(reference[i].host_id) !=
+                     engine.shard_of(reference[i - 1].host_id)) {
+        ++cross_shard_ties;
+      }
+    }
+    EXPECT_EQ(nan_rows, 8u);
+    EXPECT_EQ(cross_shard_ties > 0, options.shards > 1);
+
+    const std::vector<mgmt::HotspotRisk> risks =
+        engine.hotspot_scan(kHorizonS, threshold_c);
+    ASSERT_EQ(risks.size(), reference.size());
+    for (std::size_t i = 0; i < risks.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(risks[i].host_id, reference[i].host_id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(risks[i].forecast_c),
+                std::bit_cast<std::uint64_t>(reference[i].forecast_c));
+      EXPECT_EQ(risks[i].at_risk, reference[i].at_risk);
+    }
+  }
+}
+
 // The per-event metrics (apply.*, drift.signals, psi_cache.*, the
 // calibration.abs_error_c buckets) are tallied per shard and published per
 // drain chunk. This stream touches every one of them; after flush() the
-// deterministic metrics must match the golden document below (captured
-// when every event updated the registry directly) at any topology.
+// deterministic metrics must match the golden document below at any
+// topology. The histogram scores exactly the applied observes: its total
+// equals apply.observe.
 constexpr const char* kTallyGoldenJson =
     "{\"counters\":{\"apply.config_update\":3,\"apply.errors\":2,"
     "\"apply.observe\":453,\"drift.signals\":7,\"forecast.requests\":0,"
     "\"hotspot.scans\":0,\"ingest.batches\":64,\"ingest.dropped\":0,"
     "\"ingest.events\":458},\"gauges\":{\"fleet.hosts\":7},"
     "\"histograms\":{\"calibration.abs_error_c\":{\"bounds\":[0.25,0.5,1,"
-    "2,4,8],\"counts\":[218,72,63,48,31,15,7],\"total\":454,"
-    "\"p50\":0.28125,\"p99\":8}}}";
+    "2,4,8],\"counts\":[218,72,63,48,31,15,6],\"total\":453,"
+    "\"p50\":0.2795138888888889,\"p99\":8}}}";
 
 std::uint64_t psi_lookups(FleetEngine& engine) {
   constexpr auto kTiming = obs::MetricKind::kTiming;
@@ -402,11 +491,17 @@ TEST(FleetEngineTest, PerEventMetricsExactAfterFlushAtAnyTopology) {
     engine.ingest(TelemetryEvent::update_config(handles[2], 615.0, 45.0, hot));
     engine.ingest(
         TelemetryEvent::update_config(handles[3], 615.0, 41.0, idle_config()));
-    // Time going backwards: the residual is scored, then the tracker throws.
+    // Time going backwards: rejected before the residual is scored, so
+    // the host's CUSUM and the histogram do not move.
+    engine.flush();
+    const std::size_t cusum_count = engine.export_hosts()[4].drift_observations;
     engine.ingest(TelemetryEvent::observe(handles[4], 5.0, 30.0));
 
     std::ostringstream mid;
     save_fleet(mid, engine);
+    const std::vector<HostSnapshot> hosts = engine.export_hosts();
+    ASSERT_EQ(hosts[4].host_id, "tally-4");  // export is sorted by id
+    EXPECT_EQ(hosts[4].drift_observations, cusum_count);
     mid_snapshots.push_back(mid.str());
     EXPECT_NE(mid.str().find("counter apply.observe 320\n"),
               std::string::npos);
