@@ -12,7 +12,6 @@
 #include "ml/grid.h"
 #include "ml/svr.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -86,26 +85,6 @@ void BM_SvrPredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kQueries);
 }
 BENCHMARK(BM_SvrPredictBatch)->Arg(128)->Arg(512);
-
-void BM_SvrPredictBatchThreaded(benchmark::State& state) {
-  // predict_batch sharded over a pool; bitwise-identical results to the
-  // single-thread run by the engine's determinism contract.
-  const auto data = synthetic_data(512, 16, 2);
-  const auto model = ml::SvrModel::train(data, rbf_params());
-  constexpr std::size_t kQueries = 4096;
-  Rng rng(10);
-  std::vector<double> queries(kQueries * 16);
-  for (double& q : queries) q = rng.uniform(-1.0, 1.0);
-  std::vector<double> out(kQueries);
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    model.predict_batch(queries, kQueries, out, &pool);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kQueries);
-}
-BENCHMARK(BM_SvrPredictBatchThreaded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_ExpDet(benchmark::State& state) {
   // Deterministic exp vs libm: the transform at the heart of the RBF row.

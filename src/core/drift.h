@@ -21,12 +21,18 @@ namespace vmtherm::core {
 /// shifts of the residual mean beyond +-k accumulate; an accumulated excess
 /// of h fires. For Gaussian noise of stddev s, a common choice is
 /// k = s / 2 and h = 4..5 s.
+///
+/// The detector works with either residual sign: positive_sum() grows while
+/// residuals run above zero and negative_sum() while they run below. Each
+/// caller states which difference it feeds (OnlineTrainer: predicted -
+/// measured; serve::Shard: the paper's Eq. 5 dif, measured - predicted).
 class CusumDetector {
  public:
   CusumDetector(double slack_c, double threshold_c);
 
-  /// Feeds one residual (predicted - measured). Returns true when drift is
-  /// detected by this observation (and latches; see drifted()).
+  /// Feeds one residual, in the sign convention the caller chose. Returns
+  /// true when drift is detected by this observation (and latches; see
+  /// drifted()).
   bool observe(double residual_c);
 
   bool drifted() const noexcept { return drifted_; }

@@ -59,8 +59,10 @@ class OnlineTrainer {
   explicit OnlineTrainer(OnlineTrainerOptions options = {});
 
   /// Feeds one labelled record. If a model is live, it is first scored on
-  /// the record (prequential residual -> drift detector), then the record
-  /// joins the training buffer, then retraining triggers fire.
+  /// the record (prequential residual predicted - measured -> drift
+  /// detector, so positive_sum() grows while the model predicts too hot),
+  /// then the record joins the training buffer, then retraining triggers
+  /// fire.
   /// Returns true when this record caused a retrain.
   bool add_record(const Record& record);
 

@@ -385,11 +385,6 @@ double SvrModel::predict(std::span<const double> x) const {
 }
 
 std::vector<double> SvrModel::predict(const Dataset& data) const {
-  return predict_batch(data, nullptr);
-}
-
-std::vector<double> SvrModel::predict_batch(const Dataset& data,
-                                            util::ThreadPool* pool) const {
   std::vector<double> out(data.size());
   if (inference_.support_vector_count() == 0) {
     std::fill(out.begin(), out.end(), bias_);
@@ -402,14 +397,14 @@ std::vector<double> SvrModel::predict_batch(const Dataset& data,
     detail::require_data(s.x.size() == dim, "svr predict dimension mismatch");
     flat.insert(flat.end(), s.x.begin(), s.x.end());
   }
-  inference_.predict_batch(flat, data.size(), out, pool);
+  inference_.predict_batch(flat, data.size(), out);
   return out;
 }
 
 void SvrModel::predict_batch(std::span<const double> queries,
-                             std::size_t query_count, std::span<double> out,
-                             util::ThreadPool* pool) const {
-  inference_.predict_batch(queries, query_count, out, pool);
+                             std::size_t query_count,
+                             std::span<double> out) const {
+  inference_.predict_batch(queries, query_count, out);
 }
 
 }  // namespace vmtherm::ml

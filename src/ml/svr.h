@@ -85,16 +85,10 @@ class SvrModel {
   /// packed engine; bitwise-identical to calling predict() per sample.
   std::vector<double> predict(const Dataset& data) const;
 
-  /// Batch prediction over a dataset, optionally sharded across `pool`
-  /// (bitwise-identical at any thread count).
-  std::vector<double> predict_batch(const Dataset& data,
-                                    util::ThreadPool* pool = nullptr) const;
-
   /// Batched prediction over `query_count` queries packed row-major into
   /// `queries`; see SvrInference::predict_batch.
   void predict_batch(std::span<const double> queries, std::size_t query_count,
-                     std::span<double> out,
-                     util::ThreadPool* pool = nullptr) const;
+                     std::span<double> out) const;
 
   std::size_t support_vector_count() const noexcept {
     return support_vectors_.size();

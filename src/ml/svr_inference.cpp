@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace vmtherm::ml {
 
@@ -20,11 +19,6 @@ constexpr std::size_t kSvBlock = 128;
 /// reduction chains to hide the add latency, few enough that the tile's
 /// dot-product scratch (8 KiB) stays in L1.
 constexpr std::size_t kQueryTile = 8;
-
-/// Queries per parallel_for task in predict_batch: large enough to
-/// amortize scheduling, small enough to balance ragged tails. A multiple
-/// of kQueryTile, so only the batch's last block has single-query tails.
-constexpr std::size_t kQueryBlock = 64;
 
 /// 2^n as a double via exponent-field construction, n in [-1022, 1023].
 inline double pow2(int n) noexcept {
@@ -191,16 +185,6 @@ void SvrInference::predict_tile(const double* x, double* out) const noexcept {
   for (std::size_t q = 0; q < Q; ++q) out[q] = acc[q];
 }
 
-void SvrInference::predict_range(const double* queries, std::size_t begin,
-                                 std::size_t end,
-                                 double* results) const noexcept {
-  std::size_t i = begin;
-  for (; i + kQueryTile <= end; i += kQueryTile) {
-    predict_tile<kQueryTile>(queries + i * dim_, results + i);
-  }
-  for (; i < end; ++i) predict_tile<1>(queries + i * dim_, results + i);
-}
-
 double SvrInference::predict(std::span<const double> x) const {
   if (count_ != 0) {
     detail::require_data(x.size() == dim_, "svr predict dimension mismatch");
@@ -212,8 +196,7 @@ double SvrInference::predict(std::span<const double> x) const {
 
 void SvrInference::predict_batch(std::span<const double> queries,
                                  std::size_t query_count,
-                                 std::span<double> out,
-                                 util::ThreadPool* pool) const {
+                                 std::span<double> out) const {
   VMTHERM_SPAN_ARG("ml.predict_batch", "ml", "queries", query_count);
   detail::require_data(out.size() == query_count,
                        "svr predict_batch output size mismatch");
@@ -223,20 +206,15 @@ void SvrInference::predict_batch(std::span<const double> queries,
   }
   detail::require_data(queries.size() == query_count * dim_,
                        "svr predict_batch query extent mismatch");
-  if (query_count == 0) return;
 
+  // Full tiles, then a tail of single queries.
   const double* q = queries.data();
   double* results = out.data();
-  if (pool == nullptr || query_count <= kQueryBlock) {
-    predict_range(q, 0, query_count, results);
-    return;
+  std::size_t i = 0;
+  for (; i + kQueryTile <= query_count; i += kQueryTile) {
+    predict_tile<kQueryTile>(q + i * dim_, results + i);
   }
-  const std::size_t blocks = (query_count + kQueryBlock - 1) / kQueryBlock;
-  pool->parallel_for(0, blocks, [&](std::size_t b) {
-    const std::size_t begin = b * kQueryBlock;
-    predict_range(q, begin, std::min(query_count, begin + kQueryBlock),
-                  results);
-  });
+  for (; i < query_count; ++i) predict_tile<1>(q + i * dim_, results + i);
 }
 
 }  // namespace vmtherm::ml

@@ -21,17 +21,15 @@
 // loaded once per tile, and the tile's coefficient reductions run as
 // independent interleaved chains instead of one serial add chain.
 //
-// Determinism contract (the same one util::ThreadPool users keep): every
-// query is evaluated by exactly the same floating-point operation
-// sequence — same SV blocking, same fixed ascending-k reduction order,
-// same exp_det polynomial — whether it arrives through predict(), alone
-// or inside a query tile of predict_batch() on the calling thread, or
-// predict_batch() sharded across a ThreadPool.
-// Results are therefore bitwise-identical at any batch size and any
-// thread count. (They are NOT bitwise-identical to a naive
-// kernel_eval-summation for the RBF kernel, whose squared-distance
-// summation order and libm exp differ; the equivalence is within a few
-// ulps and the inference engine itself is the reference.)
+// Determinism contract: every query is evaluated by exactly the same
+// floating-point operation sequence — same SV blocking, same fixed
+// ascending-k reduction order, same exp_det polynomial — whether it
+// arrives through predict() or through predict_batch(), alone or inside a
+// query tile. Results are therefore bitwise-identical at any batch size.
+// (They are NOT bitwise-identical to a naive kernel_eval-summation for the
+// RBF kernel, whose squared-distance summation order and libm exp differ;
+// the equivalence is within a few ulps and the inference engine itself is
+// the reference.)
 
 #pragma once
 
@@ -40,10 +38,6 @@
 #include <vector>
 
 #include "ml/kernel.h"
-
-namespace vmtherm::util {
-class ThreadPool;
-}
 
 namespace vmtherm::ml {
 
@@ -73,13 +67,9 @@ class SvrInference {
 
   /// Batched prediction over `query_count` queries packed row-major into
   /// `queries` (query_count x dim). Results land in `out` in query order.
-  /// When `pool` is non-null, query blocks are sharded across the pool
-  /// with each result written to its pre-sized slot — bitwise-identical
-  /// to the pool-less run at any thread count. Throws DataError when the
-  /// flattened extents disagree.
+  /// Throws DataError when the flattened extents disagree.
   void predict_batch(std::span<const double> queries, std::size_t query_count,
-                     std::span<double> out,
-                     util::ThreadPool* pool = nullptr) const;
+                     std::span<double> out) const;
 
   std::size_t support_vector_count() const noexcept { return count_; }
   std::size_t dim() const noexcept { return dim_; }
@@ -103,11 +93,6 @@ class SvrInference {
   /// sequence as it would alone, so results do not depend on Q.
   template <std::size_t Q>
   void predict_tile(const double* x, double* out) const noexcept;
-
-  /// Queries [begin, end) of a row-major batch: full tiles, then a tail of
-  /// single queries.
-  void predict_range(const double* queries, std::size_t begin,
-                     std::size_t end, double* results) const noexcept;
 
   KernelParams kernel_;
   std::vector<double> packed_;    ///< n_sv x dim, row-major (API view)

@@ -90,7 +90,10 @@ class HostAccuracy {
 /// One host's accuracy snapshot, as reported by `vmtherm serve-stats` and
 /// FleetEngine::accuracy_report(). Combines the rolling window with the
 /// host's CUSUM drift state (core::CusumDetector sums — not duplicated
-/// here; the shard copies them out of its per-host detector).
+/// here; the shard copies them out of its per-host detector). The CUSUM is
+/// fed the Eq. 5 dif, measured - predicted: drift_positive grows while
+/// readings run *above* the forecast, drift_negative while they run
+/// below.
 struct HostAccuracyStats {
   std::string host_id;
   std::uint64_t observations = 0;

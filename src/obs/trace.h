@@ -15,9 +15,10 @@
 //    keeps slots immutable (a wrap-around ring would mutate published
 //    slots) and keeps the worst-case memory exact.
 //  * Zero cost when off: spans check one relaxed atomic flag at
-//    construction and destruction (measured < 1ns; see perf_serve's
-//    trace_disabled_span_ns), and the `VMTHERM_TRACE=0` compile-time
-//    kill-switch makes the macros expand to nothing at all.
+//    construction and destruction (the `TraceSmoke` ctest holds one
+//    disabled span under 1% of the per-event serving cost), and the
+//    `VMTHERM_TRACE=0` compile-time kill-switch makes the macros expand
+//    to nothing at all.
 //  * Span names/categories/arg names must be string literals (or otherwise
 //    outlive the recorder): events store `const char*`, never copies —
 //    this file is in the lint hot-path scope (no string construction).
@@ -168,16 +169,16 @@ class TraceRecorder {
 };
 
 /// The process-wide recorder used by the VMTHERM_SPAN macros. Disabled
-/// until someone (the `vmtherm trace` command, perf_serve --trace, tests)
-/// calls set_enabled(true).
+/// until someone (the `vmtherm trace` command, perfbench's traced runs,
+/// tests) calls set_enabled(true).
 TraceRecorder& global_trace();
 
 namespace detail {
 /// Fast gate mirroring global_trace().enabled(): constant-initialized, so
 /// the macro-path Span constructor can bail with one inline relaxed load
 /// — no cross-TU call, no static-local init guard — while tracing is off
-/// (the overwhelmingly common state; perf_serve asserts this path costs
-/// < 1% of the serving budget).
+/// (the overwhelmingly common state; the `TraceSmoke` ctest asserts this
+/// path costs < 1% of the serving budget).
 /// sync: relaxed on/off flag, written only by
 /// TraceRecorder::set_enabled on the global recorder; orders nothing.
 extern std::atomic<bool> g_global_trace_enabled;

@@ -326,7 +326,10 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
           break;
         }
         // Prequential residual: score the current calibrated prediction
-        // before the observation updates it.
+        // before the observation updates it. The sign is the paper's Eq. 5
+        // dif, measured - predicted, so the CUSUM's positive sum (and
+        // serve-stats' drift_positive) grows while readings run above the
+        // forecast.
         const double predicted = host.tracker.predict_at(event.time_s);
         const double residual = event.measured_c - predicted;
         ++tally_.abs_error_buckets[metrics_.calibration_abs_error_c->bucket_of(
@@ -338,7 +341,7 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
         }
         // Eq. 6 calibration update (covered by the serve.observe span —
         // one span per applied event keeps disabled-tracer cost < 1% of
-        // the serving budget; perf_serve enforces this).
+        // the serving budget; the `TraceSmoke` ctest enforces this).
         host.tracker.observe(event.time_s, event.measured_c);
         // The Eq. 5 error and the Eq. 6 γ it produced, for serve-stats.
         host.accuracy.record(residual, host.tracker.calibration());

@@ -1,7 +1,7 @@
 // Equivalence suite for the packed SVR inference engine (svr_inference.h):
 // the engine's own single-query predict() is the scalar reference, and the
-// batched / thread-pool / persisted paths must match it BITWISE across all
-// four kernels. The pre-engine kernel_eval summation is checked to
+// batched / persisted paths must match it BITWISE across all four
+// kernels. The pre-engine kernel_eval summation is checked to
 // tolerance (its RBF op order and libm exp differ by design).
 
 #include <bit>
@@ -16,7 +16,6 @@
 #include "ml/model_io.h"
 #include "ml/svr.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -80,62 +79,38 @@ TEST_P(SvrInferenceKernelTest, BatchMatchesSingleQueryBitwise) {
   }
 }
 
-TEST_P(SvrInferenceKernelTest, ThreadedMatchesSerialBitwise) {
-  const RaggedModel m = random_model(300, 7, 21);
-  const ml::SvrModel model(make_kernel(GetParam()), m.svs, m.coefs, m.bias);
-  const std::size_t queries = 500;  // above the internal query-block size
-  const std::vector<double> flat = random_queries(queries, 7, 22);
-
-  std::vector<double> serial(queries);
-  model.predict_batch(flat, queries, serial);
-  for (const std::size_t threads : {1u, 2u, 5u}) {
-    util::ThreadPool pool(threads);
-    std::vector<double> threaded(queries);
-    model.predict_batch(flat, queries, threaded, &pool);
-    for (std::size_t i = 0; i < queries; ++i) {
-      ASSERT_EQ(bits_of(serial[i]), bits_of(threaded[i]))
-          << "threads=" << threads << " query " << i;
-    }
-  }
-}
-
 TEST_P(SvrInferenceKernelTest, QueryTilesMatchSingleQueryBitwise) {
   // Batches run as query tiles (8 queries) plus single-query tails. Every
   // tile/tail split must reproduce predict() of each query alone, at SV
-  // counts around the 128-SV block edge and at the paper's 344, with and
-  // without a pool (whose 64-query blocks only kick in above 64 queries).
+  // counts around the 128-SV block edge and at the paper's 344, for short
+  // batches and for long ones (64 + count) that run many tiles first.
   constexpr std::size_t kDim = 19;
   constexpr std::size_t kTile = 8;
-  util::ThreadPool pool(3);
   for (const std::size_t svs : {1u, 127u, 128u, 129u, 344u}) {
     const RaggedModel m = random_model(svs, kDim, 91 + svs);
     const ml::SvrModel model(make_kernel(GetParam()), m.svs, m.coefs,
                              m.bias);
-    // The largest pooled batch (64 + 2 * kTile + 1) at the largest offset.
-    const std::size_t pool_queries = 64 + 2 * kTile + 3;
+    // The longest batch (64 + 2 * kTile + 1) at the largest offset.
+    const std::size_t max_queries = 64 + 2 * kTile + 3;
     const std::vector<double> flat =
-        random_queries(pool_queries, kDim, 92 + svs);
-    std::vector<double> alone(pool_queries);
-    for (std::size_t i = 0; i < pool_queries; ++i) {
+        random_queries(max_queries, kDim, 92 + svs);
+    std::vector<double> alone(max_queries);
+    for (std::size_t i = 0; i < max_queries; ++i) {
       alone[i] = model.predict(
           std::span<const double>(flat.data() + i * kDim, kDim));
     }
     for (std::size_t count = 1; count <= 2 * kTile + 1; ++count) {
-      for (util::ThreadPool* with : {static_cast<util::ThreadPool*>(nullptr),
-                                     &pool}) {
-        // Offset the batch so a query's tile position varies with count;
-        // pooled runs also cover a batch spilling past one 64-query block.
+      for (const std::size_t n : {count, 64 + count}) {
+        // Offset the batch so a query's tile position varies with count.
         const std::size_t offset = count % 3;
-        const std::size_t n = with == nullptr ? count : 64 + count;
-        ASSERT_LE(offset + n, pool_queries);
+        ASSERT_LE(offset + n, max_queries);
         std::vector<double> out(n);
         model.predict_batch(
             std::span<const double>(flat.data() + offset * kDim, n * kDim), n,
-            out, with);
+            out);
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(bits_of(out[i]), bits_of(alone[offset + i]))
-              << "svs=" << svs << " count=" << n
-              << " pool=" << (with != nullptr) << " query " << i;
+              << "svs=" << svs << " count=" << n << " query " << i;
         }
       }
     }
@@ -300,13 +275,10 @@ TEST(SvrModel, DatasetPredictRoutesThroughBatchBitwise) {
     data.add(ml::Sample{std::move(x), 0.0});
   }
   const std::vector<double> via_dataset = model.predict(data);
-  util::ThreadPool pool(3);
-  const std::vector<double> via_pool = model.predict_batch(data, &pool);
   ASSERT_EQ(via_dataset.size(), 50u);
   for (std::size_t i = 0; i < 50; ++i) {
-    const double single = model.predict(data.samples()[i].x);
-    ASSERT_EQ(bits_of(via_dataset[i]), bits_of(single));
-    ASSERT_EQ(bits_of(via_pool[i]), bits_of(single));
+    ASSERT_EQ(bits_of(via_dataset[i]),
+              bits_of(model.predict(data.samples()[i].x)));
   }
 }
 

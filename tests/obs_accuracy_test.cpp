@@ -307,6 +307,10 @@ TEST(EngineAccuracyTest, MatchesStandaloneCoreReplica) {
   EXPECT_EQ(host.gamma_drift, accuracy.gamma_drift());
   EXPECT_EQ(host.drift_positive, cusum.positive_sum());
   EXPECT_EQ(host.drift_negative, cusum.negative_sum());
+  // dif = measured - predicted: readings above the forecast drive the
+  // positive sum only.
+  EXPECT_GT(host.drift_positive, 0.0);
+  EXPECT_EQ(host.drift_negative, 0.0);
   EXPECT_EQ(host.drifted, cusum.drifted());
   EXPECT_TRUE(host.drifted);  // the ramp is a genuine mean shift
   EXPECT_EQ(fleet.hosts_drifted, 1u);

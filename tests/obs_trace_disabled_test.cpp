@@ -34,7 +34,7 @@ TEST(TraceDisabledTest, SpanMacrosCompileToNoOps) {
 
 TEST(TraceDisabledTest, RuntimeSpanApiStillWorks) {
   // The kill-switch removes the macros only; explicit Span objects (and
-  // with them the exporter, tests, perf_serve --trace) stay functional.
+  // with them the exporter, tests and `vmtherm trace`) stay functional.
   TraceRecorder recorder;
   recorder.set_enabled(true);
   { Span span(recorder, "explicit", "test"); }
