@@ -51,19 +51,25 @@ int main() {
   print_section(std::cout,
                 "Residual drift after a fleet change (CUSUM, k=s/2, h=10s)");
 
-  // Residual scale from calibration.
+  // Residual scale from calibration. Residuals are the Eq. 5 dif,
+  // measured - predicted, as everywhere a ResidualMonitor is fed.
   std::vector<double> cal_residuals;
   for (const auto& r : calibration) {
-    cal_residuals.push_back(predictor.predict(r) - r.stable_temp_c);
+    cal_residuals.push_back(r.stable_temp_c - predictor.predict(r));
   }
   const double sigma = stddev(cal_residuals);
 
+  const double slack = sigma / 2.0;
+  const double threshold = 10.0 * sigma;
+  const auto observe = [&](core::ResidualMonitor& monitor,
+                           const core::Record& r) {
+    return monitor.observe(r.stable_temp_c - predictor.predict(r),
+                           /*stable_stage=*/true, slack, threshold);
+  };
+
   // Stream 1: same testbed -> no drift expected.
-  core::CusumDetector same(sigma / 2.0, 10.0 * sigma);
-  std::size_t fired_same = 0;
-  for (const auto& r : test) {
-    if (same.observe(predictor.predict(r) - r.stable_temp_c)) ++fired_same;
-  }
+  core::ResidualMonitor same;
+  for (const auto& r : test) observe(same, r);
 
   // Stream 2: the fleet is re-fitted with degraded heatsinks (higher
   // thermal resistance) -- the model was never trained on this hardware.
@@ -75,12 +81,12 @@ int main() {
   }
   const auto changed_records = core::profile_experiments(configs);
 
-  core::CusumDetector drifted(sigma / 2.0, 10.0 * sigma);
+  core::ResidualMonitor drifted;
   std::size_t records_to_detect = 0;
   bool detected = false;
   for (const auto& r : changed_records) {
     ++records_to_detect;
-    if (drifted.observe(predictor.predict(r) - r.stable_temp_c)) {
+    if (observe(drifted, r)) {
       detected = true;
       break;
     }
@@ -89,7 +95,7 @@ int main() {
   Table drift({"stream", "records", "drift detected", "records to detect"});
   drift.add_row({"unchanged testbed", Table::num(static_cast<long long>(
                                           test.size())),
-                 fired_same > 0 ? "YES (false alarm)" : "no", "-"});
+                 same.drifted ? "YES (false alarm)" : "no", "-"});
   drift.add_row({"heatsinks degraded 30%",
                  Table::num(static_cast<long long>(changed_records.size())),
                  detected ? "yes" : "NO (missed)",

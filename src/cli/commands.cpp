@@ -182,13 +182,11 @@ CommandSpec trace_spec() {
 CommandSpec serve_stats_spec() {
   CommandSpec spec("serve-stats",
                    "run a serve replay and report prediction-quality "
-                   "telemetry: per-host rolling MSE/MAE of dif = phi - psi, "
-                   "calibration gamma and its drift, CUSUM state and cache/"
-                   "queue health");
+                   "telemetry: per-host decayed MSE/MAE of dif = phi - psi "
+                   "(about the last 128 observations), split into psi_stable "
+                   "bias and transient error, calibration gamma, CUSUM state "
+                   "and cache/queue health");
   add_replay_options(spec);
-  spec.add(make_option("window",
-                       "per-host rolling accuracy window (observations)",
-                       false, false, false, "128"));
   spec.add(make_option("top",
                        "host rows to print (sorted by rolling MSE, worst "
                        "first); 0 = all",
@@ -467,74 +465,67 @@ int cmd_trace(const ParsedArgs& args, std::ostream& out) {
   return 0;
 }
 
-void write_stats_json(std::ostream& os, const obs::FleetAccuracyStats& stats) {
-  const auto num = [&os](double v) {
+void write_stats_json(std::ostream& os,
+                      const serve::FleetAccuracyStats& stats) {
+  const auto num = [&os](const char* key, double v) {
     std::ostringstream tmp;
     tmp.precision(17);
     tmp << v;
-    os << tmp.str();
+    os << ",\"" << key << "\":" << tmp.str();
+  };
+  // rolling_* merge both stages; stable_bias is the ψ_stable stage's mean
+  // dif, transient_mse the ψ*(t) + γ stage's mean square.
+  const auto residual_fields = [&num](const core::StageSums& transient,
+                                      const core::StageSums& stable) {
+    const core::StageSums merged = transient + stable;
+    num("rolling_mse", merged.mse());
+    num("rolling_mae", merged.mae());
+    num("rolling_mean_dif", merged.mean());
+    num("stable_bias", stable.mean());
+    num("transient_mse", transient.mse());
   };
   os << "{\"fleet\":{\"hosts\":" << stats.hosts.size()
-     << ",\"observations\":" << stats.observations
-     << ",\"samples_in_window\":" << stats.samples_in_window
-     << ",\"rolling_mse\":";
-  num(stats.rolling_mse);
-  os << ",\"rolling_mae\":";
-  num(stats.rolling_mae);
-  os << ",\"rolling_mean_dif\":";
-  num(stats.rolling_mean_dif);
+     << ",\"observations\":" << stats.observations;
+  residual_fields(stats.transient, stats.stable);
   os << ",\"hosts_drifted\":" << stats.hosts_drifted
      << ",\"psi_cache_hits\":" << stats.psi_cache_hits
      << ",\"psi_cache_misses\":" << stats.psi_cache_misses
      << ",\"queue_high_water\":" << stats.queue_high_water << "},\"hosts\":[";
   bool first = true;
   for (const auto& host : stats.hosts) {
+    const core::ResidualMonitor& r = host.residuals;
     if (!first) os << ",";
     first = false;
     os << "{\"host_id\":\"" << util::json_escape(host.host_id)
-       << "\",\"observations\":" << host.observations
-       << ",\"window\":" << host.window << ",\"in_window\":" << host.in_window
-       << ",\"rolling_mse\":";
-    num(host.rolling_mse);
-    os << ",\"rolling_mae\":";
-    num(host.rolling_mae);
-    os << ",\"rolling_mean_dif\":";
-    num(host.rolling_mean_dif);
-    os << ",\"gamma\":";
-    num(host.gamma);
-    os << ",\"gamma_drift\":";
-    num(host.gamma_drift);
-    os << ",\"drift_positive\":";
-    num(host.drift_positive);
-    os << ",\"drift_negative\":";
-    num(host.drift_negative);
-    os << ",\"drifted\":" << (host.drifted ? "true" : "false") << "}";
+       << "\",\"observations\":" << r.count;
+    residual_fields(r.transient, r.stable);
+    num("gamma", host.gamma);
+    num("drift_positive", r.positive);
+    num("drift_negative", r.negative);
+    os << ",\"drifted\":" << (r.drifted ? "true" : "false") << "}";
   }
   os << "]}\n";
 }
 
 int cmd_serve_stats(const ParsedArgs& args, std::ostream& out) {
-  const long window = args.get_long("window");
-  detail::require(window >= 1, "option --window must be >= 1");
   auto predictor = core::StableTemperaturePredictor::load(args.get("model"));
-  serve::ReplayOptions options = replay_options_from(args);
-  options.engine.accuracy_window = static_cast<std::size_t>(window);
-
-  auto report = serve::run_fleet_replay(std::move(predictor), options);
-  const obs::FleetAccuracyStats stats = report.engine->accuracy_report();
+  auto report =
+      serve::run_fleet_replay(std::move(predictor), replay_options_from(args));
+  const serve::FleetAccuracyStats stats = report.engine->accuracy_report();
 
   if (args.get_flag("json")) {
     write_stats_json(out, stats);
     return 0;
   }
 
+  const core::StageSums merged = stats.merged();
   print_kv(out, "hosts", std::to_string(stats.hosts.size()));
   print_kv(out, "observations", std::to_string(stats.observations));
-  print_kv(out, "accuracy window",
-           std::to_string(options.engine.accuracy_window) + " obs/host");
-  print_kv(out, "fleet rolling mse", Table::num(stats.rolling_mse, 4));
-  print_kv(out, "fleet rolling mae", Table::num(stats.rolling_mae, 4));
-  print_kv(out, "fleet mean dif", Table::num(stats.rolling_mean_dif, 4));
+  print_kv(out, "fleet rolling mse", Table::num(merged.mse(), 4));
+  print_kv(out, "fleet rolling mae", Table::num(merged.mae(), 4));
+  print_kv(out, "fleet mean dif", Table::num(merged.mean(), 4));
+  print_kv(out, "fleet stable bias", Table::num(stats.stable.mean(), 4));
+  print_kv(out, "fleet transient mse", Table::num(stats.transient.mse(), 4));
   print_kv(out, "hosts drifted", std::to_string(stats.hosts_drifted));
   print_kv(out, "psi cache hits", std::to_string(stats.psi_cache_hits));
   print_kv(out, "psi cache misses", std::to_string(stats.psi_cache_misses));
@@ -542,26 +533,28 @@ int cmd_serve_stats(const ParsedArgs& args, std::ostream& out) {
   print_kv(out, "forecast digest", hex_digest(report.forecast_digest));
 
   // Worst predictions first: rolling MSE descending, host id on ties.
-  std::vector<obs::HostAccuracyStats> rows = stats.hosts;
+  std::vector<serve::HostAccuracyStats> rows = stats.hosts;
   std::sort(rows.begin(), rows.end(),
-            [](const obs::HostAccuracyStats& a,
-               const obs::HostAccuracyStats& b) {
-              if (a.rolling_mse != b.rolling_mse) {
-                return a.rolling_mse > b.rolling_mse;
-              }
+            [](const serve::HostAccuracyStats& a,
+               const serve::HostAccuracyStats& b) {
+              const double mse_a = a.residuals.merged().mse();
+              const double mse_b = b.residuals.merged().mse();
+              if (mse_a != mse_b) return mse_a > mse_b;
               return a.host_id < b.host_id;
             });
   const auto top = static_cast<std::size_t>(args.get_long("top"));
-  Table table({"host", "obs", "mse", "mae", "gamma", "g_drift", "drifted"});
+  Table table({"host", "obs", "mse", "mae", "stable_bias", "transient_mse",
+               "gamma", "drifted"});
   for (std::size_t i = 0; i < rows.size() && (top == 0 || i < top); ++i) {
     const auto& host = rows[i];
+    const core::ResidualMonitor& r = host.residuals;
     table.add_row({host.host_id,
-                   Table::num(static_cast<long long>(host.observations)),
-                   Table::num(host.rolling_mse, 4),
-                   Table::num(host.rolling_mae, 4),
-                   Table::num(host.gamma, 3),
-                   Table::num(host.gamma_drift, 3),
-                   host.drifted ? "yes" : "no"});
+                   Table::num(static_cast<long long>(r.count)),
+                   Table::num(r.merged().mse(), 4),
+                   Table::num(r.merged().mae(), 4),
+                   Table::num(r.stable.mean(), 3),
+                   Table::num(r.transient.mse(), 4),
+                   Table::num(host.gamma, 3), r.drifted ? "yes" : "no"});
   }
   table.print(out);
   return 0;

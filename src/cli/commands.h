@@ -11,7 +11,7 @@
 //   vmtherm serve-replay --model model.txt --hosts 64 --steps 120
 //                     --shards 4 [--snapshot fleet.txt] [--json]
 //   vmtherm serve-stats  --model model.txt --hosts 64 --steps 120
-//                     --window 128 [--top 10] [--json]
+//                     [--top 10] [--json]
 //   vmtherm trace     --model model.txt --hosts 64 --steps 120
 //                     --out trace.json
 //   vmtherm help [command]

@@ -1,39 +1,49 @@
 #include "core/drift.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace vmtherm::core {
 
-CusumDetector::CusumDetector(double slack_c, double threshold_c)
-    : slack_(slack_c), threshold_(threshold_c) {
-  detail::require(slack_c >= 0.0, "cusum slack must be >= 0");
-  detail::require(threshold_c > 0.0, "cusum threshold must be positive");
+void StageSums::add(double dif) noexcept {
+  weight = kResidualDecay * weight + 1.0;
+  sum = kResidualDecay * sum + dif;
+  sum_sq = kResidualDecay * sum_sq + dif * dif;
+  sum_abs = kResidualDecay * sum_abs + std::abs(dif);
 }
 
-bool CusumDetector::observe(double residual_c) {
-  ++count_;
-  positive_ = std::max(0.0, positive_ + residual_c - slack_);
-  negative_ = std::max(0.0, negative_ - residual_c - slack_);
-  const bool fired = positive_ > threshold_ || negative_ > threshold_;
-  drifted_ = drifted_ || fired;
-  return fired;
+StageSums& StageSums::operator+=(const StageSums& other) noexcept {
+  weight += other.weight;
+  sum += other.sum;
+  sum_sq += other.sum_sq;
+  sum_abs += other.sum_abs;
+  return *this;
 }
 
-void CusumDetector::restore(double positive_sum, double negative_sum,
-                            bool drifted, std::size_t observation_count) {
-  detail::require(positive_sum >= 0.0 && negative_sum >= 0.0,
-                  "cusum accumulators must be non-negative");
-  positive_ = positive_sum;
-  negative_ = negative_sum;
-  drifted_ = drifted;
-  count_ = observation_count;
+bool ResidualMonitor::observe(double dif, bool stable_stage, double slack_c,
+                              double threshold_c) noexcept {
+  ++count;
+  positive = std::max(0.0, positive + dif - slack_c);
+  negative = std::max(0.0, negative - dif - slack_c);
+  (stable_stage ? stable : transient).add(dif);
+  const bool latched =
+      !drifted && (positive > threshold_c || negative > threshold_c);
+  drifted = drifted || latched;
+  return latched;
 }
 
-void CusumDetector::reset() noexcept {
-  positive_ = 0.0;
-  negative_ = 0.0;
-  drifted_ = false;
-  count_ = 0;
+void ResidualMonitor::validate() const {
+  const auto valid_sums = [](const StageSums& s) {
+    return std::isfinite(s.weight) && std::isfinite(s.sum) &&
+           std::isfinite(s.sum_sq) && std::isfinite(s.sum_abs) &&
+           s.weight >= 0.0 && s.sum_sq >= 0.0 && s.sum_abs >= 0.0;
+  };
+  detail::require(std::isfinite(positive) && std::isfinite(negative) &&
+                      positive >= 0.0 && negative >= 0.0,
+                  "cusum sums must be finite and non-negative");
+  detail::require(valid_sums(transient) && valid_sums(stable),
+                  "residual sums must be finite, with non-negative weight, "
+                  "square and absolute sums");
 }
 
 }  // namespace vmtherm::core

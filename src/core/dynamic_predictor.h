@@ -96,6 +96,11 @@ class DynamicTemperaturePredictor {
   void retarget(double t, double phi_now, double new_psi_stable);
 
   double calibration() const noexcept { return gamma_; }
+  /// Whether t is at least t_break past the latest begin()/retarget(): the
+  /// curve has settled at ψ_stable (the paper's stable stage).
+  bool settled_at(double t) const noexcept {
+    return t - t0_ >= options_.t_break_s;
+  }
   /// Time of the latest observation, or of the latest begin()/retarget()
   /// if later; observe() rejects an earlier time.
   double last_observed_s() const noexcept { return last_observed_s_; }

@@ -5,8 +5,7 @@
 namespace vmtherm::core {
 
 OnlineTrainer::OnlineTrainer(OnlineTrainerOptions options)
-    : options_(std::move(options)),
-      drift_(options_.drift_slack_c, options_.drift_threshold_c) {
+    : options_(std::move(options)) {
   options_.validate();
 }
 
@@ -15,18 +14,13 @@ const StableTemperaturePredictor& OnlineTrainer::model() const {
   return *model_;
 }
 
-double OnlineTrainer::prequential_mse() const noexcept {
-  // RunningStats of squared errors: the mean IS the MSE.
-  return prequential_.mean();
-}
-
 bool OnlineTrainer::add_record(const Record& record) {
   ++records_seen_;
 
   if (model_.has_value()) {
-    const double residual = model_->predict(record) - record.stable_temp_c;
-    prequential_.add(residual * residual);
-    drift_.observe(residual);
+    residuals_.observe(record.stable_temp_c - model_->predict(record),
+                       /*stable_stage=*/true, options_.drift_slack_c,
+                       options_.drift_threshold_c);
   }
 
   buffer_.push_back(record);
@@ -44,7 +38,7 @@ bool OnlineTrainer::add_record(const Record& record) {
     }
     return false;
   }
-  if (options_.retrain_on_drift && drift_.drifted()) {
+  if (options_.retrain_on_drift && residuals_.drifted) {
     // The model went stale: older records describe the previous regime and
     // would poison a refit. Keep only the most recent ones and wait until
     // enough new-regime data accumulated to train on.
@@ -75,9 +69,8 @@ void OnlineTrainer::retrain(RetrainReason reason) {
   ++version_;
   reason_ = reason;
   new_since_fit_ = 0;
-  drift_.reset();
+  residuals_ = {};
   drift_trimmed_ = false;
-  prequential_ = RunningStats{};
 }
 
 }  // namespace vmtherm::core

@@ -5,8 +5,9 @@
 // environment; then the model received data collected online"). The
 // OnlineTrainer accumulates profiling records as they arrive, evaluates the
 // live model prequentially (predict-then-learn) on each new record, feeds
-// the residual stream to a CUSUM drift detector, and retrains when enough
-// new data arrived — or immediately when drift says the model went stale.
+// the residual stream to a core::ResidualMonitor, and retrains when enough
+// new data arrived — or immediately when its CUSUM says the model went
+// stale.
 
 #pragma once
 
@@ -16,7 +17,6 @@
 
 #include "core/drift.h"
 #include "core/stable_predictor.h"
-#include "util/stats.h"
 
 namespace vmtherm::core {
 
@@ -33,8 +33,8 @@ struct OnlineTrainerOptions {
   bool retrain_on_drift = true;
   std::size_t drift_keep_recent = 10;
   /// CUSUM tuning on residuals (deg C).
-  double drift_slack_c = 0.5;
-  double drift_threshold_c = 8.0;
+  double drift_slack_c = kDefaultDriftSlackC;
+  double drift_threshold_c = kDefaultDriftThresholdC;
   /// How models are fit (grid vs fixed parameters).
   StableTrainOptions train_options;
   /// Cap on retained records (0 = unbounded). When exceeded, the oldest
@@ -45,8 +45,7 @@ struct OnlineTrainerOptions {
     detail::require(min_records_for_training >= 2,
                     "online trainer needs >= 2 records for the first fit");
     detail::require(retrain_batch >= 1, "retrain_batch must be >= 1");
-    detail::require(drift_slack_c >= 0.0, "drift slack >= 0");
-    detail::require(drift_threshold_c > 0.0, "drift threshold > 0");
+    validate_drift_tuning(drift_slack_c, drift_threshold_c);
   }
 };
 
@@ -59,8 +58,8 @@ class OnlineTrainer {
   explicit OnlineTrainer(OnlineTrainerOptions options = {});
 
   /// Feeds one labelled record. If a model is live, it is first scored on
-  /// the record (prequential residual predicted - measured -> drift
-  /// detector, so positive_sum() grows while the model predicts too hot),
+  /// the record (prequential residual measured - predicted, the Eq. 5
+  /// sign; labels are ψ_stable, so it feeds the monitor's stable stage),
   /// then the record joins the training buffer, then retraining triggers
   /// fire.
   /// Returns true when this record caused a retrain.
@@ -79,18 +78,18 @@ class OnlineTrainer {
   std::size_t records_seen() const noexcept { return records_seen_; }
   std::size_t buffered_records() const noexcept { return buffer_.size(); }
 
-  /// Prequential error of the *current* model: squared error of its
-  /// predictions on records that arrived after it was fit. Resets on
-  /// retrain. Returns 0 when nothing was scored yet.
-  double prequential_mse() const noexcept;
+  /// Prequential error of the *current* model: decayed (β = 1 − 1/128)
+  /// mean squared error of its predictions on records that arrived after
+  /// it was fit. Resets on retrain. Returns 0 when nothing was scored yet.
+  double prequential_mse() const noexcept { return residuals_.stable.mse(); }
   std::size_t prequential_count() const noexcept {
-    return prequential_.count();
+    return static_cast<std::size_t>(residuals_.count);
   }
 
   /// Whether the drift detector has fired since the last retrain (only
   /// observable when retrain_on_drift is false, since otherwise a retrain
   /// clears it immediately).
-  bool drift_pending() const noexcept { return drift_.drifted(); }
+  bool drift_pending() const noexcept { return residuals_.drifted; }
 
   /// Whether a drift-triggered refit is waiting for enough new-regime
   /// records.
@@ -102,8 +101,7 @@ class OnlineTrainer {
   OnlineTrainerOptions options_;
   std::vector<Record> buffer_;
   std::optional<StableTemperaturePredictor> model_;
-  CusumDetector drift_;
-  RunningStats prequential_;  ///< squared errors of the live model
+  ResidualMonitor residuals_;  ///< of the live model; reset on retrain
   std::size_t records_seen_ = 0;
   std::size_t new_since_fit_ = 0;
   std::size_t version_ = 0;

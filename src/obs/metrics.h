@@ -3,8 +3,8 @@
 // A lightweight metrics registry: named counters, gauges and fixed-bucket
 // histograms, updatable concurrently (relaxed atomics — metrics never
 // synchronize anything), queryable as an ASCII table and as JSON. It lives
-// in src/obs so the fleet engine, the tracer and the accuracy tracker all
-// publish into the same registry without a serve-dependency cycle.
+// in src/obs so the fleet engine and the tracer both publish into the
+// same registry without a serve-dependency cycle.
 //
 // Every metric is registered as either *deterministic* (its value is a
 // pure function of the logical event stream: event counts, calibration

@@ -305,11 +305,6 @@ double FleetEngine::calibration_of(HostHandle handle) const {
   return shards_[route.shard]->calibration_of(route.slot);
 }
 
-bool FleetEngine::drifted(HostHandle handle) const {
-  const Route route = route_of(handle);
-  return shards_[route.shard]->drifted(route.slot);
-}
-
 std::vector<HostSnapshot> FleetEngine::export_hosts() const {
   std::vector<HostSnapshot> hosts;
   for (const auto& shard : shards_) shard->append_snapshots(hosts);
@@ -320,15 +315,34 @@ std::vector<HostSnapshot> FleetEngine::export_hosts() const {
   return hosts;
 }
 
-obs::FleetAccuracyStats FleetEngine::accuracy_report() const {
-  std::vector<obs::HostAccuracyStats> rows;
-  for (const auto& shard : shards_) shard->append_accuracy(rows);
-  obs::FleetAccuracyStats fleet = obs::aggregate_fleet(std::move(rows));
+FleetAccuracyStats FleetEngine::accuracy_report() const {
+  std::vector<HostAccuracyStats> rows;
+  for (HostSnapshot& host : export_hosts()) {
+    rows.push_back(
+        {std::move(host.host_id), host.tracker.gamma, host.residuals});
+  }
+  FleetAccuracyStats fleet = aggregate_fleet(std::move(rows));
   // Registry pointers the engine already holds; the const registry has no
   // name lookup by design.
   fleet.psi_cache_hits = shard_metrics_.psi_cache_hits->value();
   fleet.psi_cache_misses = shard_metrics_.psi_cache_misses->value();
   fleet.queue_high_water = shard_metrics_.queue_high_water->value();
+  return fleet;
+}
+
+FleetAccuracyStats aggregate_fleet(std::vector<HostAccuracyStats> hosts) {
+  std::sort(hosts.begin(), hosts.end(),
+            [](const HostAccuracyStats& a, const HostAccuracyStats& b) {
+              return a.host_id < b.host_id;
+            });
+  FleetAccuracyStats fleet;
+  for (const HostAccuracyStats& host : hosts) {
+    fleet.observations += host.residuals.count;
+    fleet.transient += host.residuals.transient;
+    fleet.stable += host.residuals.stable;
+    if (host.residuals.drifted) ++fleet.hosts_drifted;
+  }
+  fleet.hosts = std::move(hosts);
   return fleet;
 }
 

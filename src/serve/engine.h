@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/stable_predictor.h"
-#include "obs/accuracy.h"
 #include "obs/metrics.h"
 #include "serve/event.h"
 #include "serve/shard.h"
@@ -112,7 +111,6 @@ class FleetEngine {
 
   mgmt::MonitoredConfig config_of(HostHandle handle) const;
   double calibration_of(HostHandle handle) const;
-  bool drifted(HostHandle handle) const;
 
   /// Live host states sorted by host id (snapshot support; deterministic
   /// output at any shard count).
@@ -122,12 +120,14 @@ class FleetEngine {
   /// (no begin()); same id rules as register_host.
   HostHandle import_host(const HostSnapshot& snapshot);
 
-  /// Prediction-quality telemetry: per-host rolling dif = φ − ψ windows
-  /// (MSE/MAE, γ and its in-window drift, CUSUM sums) plus fleet-wide
-  /// aggregates, ψ_stable cache traffic and the queue high-water mark.
-  /// Rows are sorted by host id; aggregates merge in host-id order, so the
-  /// report is deterministic at any shard/thread count once flushed.
-  obs::FleetAccuracyStats accuracy_report() const;
+  /// Prediction-quality telemetry: per host, γ and the residual monitor
+  /// fed dif = φ − ψ (CUSUM state and decayed per-stage sums: rolling
+  /// MSE/MAE/mean, ψ_stable bias, transient MSE), plus fleet-wide stage
+  /// sums, ψ_stable cache traffic and the queue high-water mark. Rows are
+  /// sorted by host id and the stage sums merge in that order, so the
+  /// report is deterministic at any shard/thread count once flushed, and
+  /// it survives snapshot/restore.
+  FleetAccuracyStats accuracy_report() const;
 
   /// Per-event counts are published per drain chunk: exact after flush(),
   /// at most one chunk per shard behind while a drain is running.
@@ -168,5 +168,10 @@ class FleetEngine {
   obs::Gauge* hosts_gauge_ = nullptr;
   obs::Histogram* forecast_batch_us_ = nullptr;
 };
+
+/// Sorts `hosts` by host_id and merges their stage sums in that order —
+/// the result is independent of how hosts were distributed over shards.
+/// Cache/queue fields are left zero for the caller to fill.
+FleetAccuracyStats aggregate_fleet(std::vector<HostAccuracyStats> hosts);
 
 }  // namespace vmtherm::serve

@@ -1,9 +1,10 @@
 // vmtherm/serve/event.h
 //
 // Plain-data vocabulary of the fleet-serving engine: host handles,
-// telemetry events, forecast requests, engine options and the per-host
-// snapshot record. Split from engine.h so producers that only *build*
-// event streams need none of the engine machinery.
+// telemetry events, forecast requests, engine options, the per-host
+// snapshot record and the accuracy report. Split from engine.h so
+// producers that only *build* event streams need none of the engine
+// machinery.
 
 #pragma once
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/drift.h"
 #include "core/dynamic_predictor.h"
 #include "mgmt/host_config.h"
 #include "util/error.h"
@@ -109,18 +111,14 @@ struct FleetEngineOptions {
   /// Dynamic-prediction configuration shared by every host tracker.
   core::DynamicOptions dynamic;
   /// Per-host CUSUM drift detection over observation residuals (see
-  /// core/drift.h; defaults match core::OnlineTrainerOptions).
-  double drift_slack_c = 0.5;
-  double drift_threshold_c = 8.0;
+  /// core/drift.h).
+  double drift_slack_c = core::kDefaultDriftSlackC;
+  double drift_threshold_c = core::kDefaultDriftThresholdC;
   /// Per-shard ψ_stable memoization budget (entries): identical running
   /// conditions (server config, VM set, fans, env) reuse the cached SVR
   /// prediction instead of re-evaluating the kernel expansion. 0 disables
   /// memoization (see serve/psi_cache.h for the keying discipline).
   std::size_t psi_cache_capacity = 4096;
-  /// Per-host rolling accuracy window (observations of dif = φ − ψ) kept
-  /// for serve-stats / accuracy_report (see obs/accuracy.h). Runtime-only
-  /// state: not part of snapshots.
-  std::size_t accuracy_window = 128;
 
   void validate() const {
     detail::require(shards >= 1, "fleet engine needs at least one shard");
@@ -131,10 +129,7 @@ struct FleetEngineOptions {
             drain != DrainMode::kManual,
         "blocking backpressure requires auto draining (manual drains would "
         "deadlock a blocked producer)");
-    detail::require(drift_slack_c >= 0.0, "drift slack must be >= 0");
-    detail::require(drift_threshold_c > 0.0, "drift threshold must be > 0");
-    detail::require(accuracy_window >= 1,
-                    "accuracy window must hold at least one observation");
+    core::validate_drift_tuning(drift_slack_c, drift_threshold_c);
     dynamic.validate();
   }
 };
@@ -144,10 +139,35 @@ struct HostSnapshot {
   std::string host_id;
   mgmt::MonitoredConfig config;
   core::DynamicPredictorState tracker;
-  double drift_positive = 0.0;
-  double drift_negative = 0.0;
-  bool drifted = false;
-  std::size_t drift_observations = 0;
+  core::ResidualMonitor residuals;
+};
+
+/// One host's row of FleetEngine::accuracy_report(): its calibration γ
+/// and its residual monitor, fed the Eq. 5 dif = measured − predicted.
+/// The monitor's merged() sums give rolling_mse/mae/mean_dif, its stable
+/// stage the ψ_stable bias and its transient stage the ψ*(t) + γ error.
+struct HostAccuracyStats {
+  std::string host_id;
+  double gamma = 0.0;
+  core::ResidualMonitor residuals;
+
+  bool operator==(const HostAccuracyStats&) const = default;
+};
+
+/// Fleet-wide aggregate plus the per-host rows, sorted by host id.
+struct FleetAccuracyStats {
+  std::vector<HostAccuracyStats> hosts;
+  std::uint64_t observations = 0;
+  /// Per-stage sums of every host, merged in host-id order.
+  core::StageSums transient;
+  core::StageSums stable;
+  std::uint64_t hosts_drifted = 0;
+  std::uint64_t psi_cache_hits = 0;
+  std::uint64_t psi_cache_misses = 0;
+  std::int64_t queue_high_water = 0;
+
+  /// Both stages merged: the fleet's rolling statistics.
+  core::StageSums merged() const noexcept { return transient + stable; }
 };
 
 }  // namespace vmtherm::serve

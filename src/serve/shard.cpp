@@ -148,13 +148,9 @@ std::uint32_t Shard::add_host(std::string host_id,
   const mgmt::MonitoredConfig* const conditions[] = {&config};
   double psi = 0.0;
   resolve_psi(conditions, std::span<double>(&psi, 1));
-  HostState host{std::move(host_id),
-                 std::move(config),
+  HostState host{std::move(host_id), std::move(config),
                  core::DynamicTemperaturePredictor(options_->dynamic),
-                 core::CusumDetector(options_->drift_slack_c,
-                                     options_->drift_threshold_c),
-                 obs::HostAccuracy(options_->accuracy_window),
-                 true};
+                 core::ResidualMonitor{}, true};
   host.tracker.begin(t0, measured_c, psi);
   hosts_.push_back(std::move(host));
   ++live_count_;
@@ -164,17 +160,12 @@ std::uint32_t Shard::add_host(std::string host_id,
 
 std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
   snapshot.config.validate();
+  snapshot.residuals.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
-  HostState host{snapshot.host_id,
-                 snapshot.config,
+  HostState host{snapshot.host_id, snapshot.config,
                  core::DynamicTemperaturePredictor(options_->dynamic),
-                 core::CusumDetector(options_->drift_slack_c,
-                                     options_->drift_threshold_c),
-                 obs::HostAccuracy(options_->accuracy_window),
-                 true};
+                 snapshot.residuals, true};
   host.tracker.restore_state(snapshot.tracker);
-  host.drift.restore(snapshot.drift_positive, snapshot.drift_negative,
-                     snapshot.drifted, snapshot.drift_observations);
   hosts_.push_back(std::move(host));
   ++live_count_;
   return static_cast<std::uint32_t>(hosts_.size() - 1);
@@ -188,10 +179,8 @@ std::string Shard::remove_host(std::uint32_t slot) {
   host.live = false;
   --live_count_;
   // The tombstone keeps its slot (queued events for it still count as
-  // apply errors) but frees the config's VM list and shrinks the accuracy
-  // ring to one entry.
+  // apply errors) but frees the config's VM list.
   host.config = mgmt::MonitoredConfig{};
-  host.accuracy = obs::HostAccuracy(1);
   return std::move(host.host_id);
 }
 
@@ -308,8 +297,8 @@ void Shard::drain_until_empty() {
 
 void Shard::apply(const QueuedEvent& event, const double* psi) {
   // Unknown hosts and non-finite times or readings are rejected before any
-  // host state is touched: one bad reading must not poison γ, the drift
-  // and accuracy trackers or the snapshot.
+  // host state is touched: one bad reading must not poison γ, the
+  // residual monitor or the snapshot.
   if (!accepts(event)) {
     ++tally_.apply_errors;
     return;
@@ -320,7 +309,8 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
       case TelemetryEvent::Type::kObserve: {
         VMTHERM_SPAN("serve.observe", "serve");
         // An observation that goes back in time is rejected before it is
-        // scored, so it moves neither the drift state nor the histogram.
+        // scored, so it moves neither the residual monitor nor the
+        // histogram.
         if (event.time_s < host.tracker.last_observed_s()) {
           ++tally_.apply_errors;
           break;
@@ -329,22 +319,21 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
         // before the observation updates it. The sign is the paper's Eq. 5
         // dif, measured - predicted, so the CUSUM's positive sum (and
         // serve-stats' drift_positive) grows while readings run above the
-        // forecast.
+        // forecast. Past t_break the residual is the ψ_stable stage's.
         const double predicted = host.tracker.predict_at(event.time_s);
         const double residual = event.measured_c - predicted;
         ++tally_.abs_error_buckets[metrics_.calibration_abs_error_c->bucket_of(
             std::abs(residual))];
-        const bool was_drifted = host.drift.drifted();
-        host.drift.observe(residual);
-        if (!was_drifted && host.drift.drifted()) {
+        if (host.residuals.observe(residual,
+                                   host.tracker.settled_at(event.time_s),
+                                   options_->drift_slack_c,
+                                   options_->drift_threshold_c)) {
           ++tally_.drift_signals;
         }
         // Eq. 6 calibration update (covered by the serve.observe span —
         // one span per applied event keeps disabled-tracer cost < 1% of
         // the serving budget; the `TraceSmoke` ctest enforces this).
         host.tracker.observe(event.time_s, event.measured_c);
-        // The Eq. 5 error and the Eq. 6 γ it produced, for serve-stats.
-        host.accuracy.record(residual, host.tracker.calibration());
         ++tally_.observe_applied;
         break;
       }
@@ -391,13 +380,6 @@ double Shard::calibration_of(std::uint32_t slot) const {
   return hosts_[slot].tracker.calibration();
 }
 
-bool Shard::drifted(std::uint32_t slot) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  detail::require(slot < hosts_.size() && hosts_[slot].live,
-                  "shard slot is not live");
-  return hosts_[slot].drift.drifted();
-}
-
 std::vector<mgmt::HotspotRisk> Shard::ranked_risks(double horizon_s,
                                                    double threshold_c) const {
   std::vector<mgmt::HotspotRisk> rows;
@@ -432,36 +414,8 @@ void Shard::append_snapshots(std::vector<HostSnapshot>& out) const {
     snapshot.host_id = host.host_id;
     snapshot.config = host.config;
     snapshot.tracker = host.tracker.export_state();
-    snapshot.drift_positive = host.drift.positive_sum();
-    snapshot.drift_negative = host.drift.negative_sum();
-    snapshot.drifted = host.drift.drifted();
-    snapshot.drift_observations = host.drift.observation_count();
+    snapshot.residuals = host.residuals;
     out.push_back(std::move(snapshot));
-  }
-}
-
-void Shard::append_accuracy(std::vector<obs::HostAccuracyStats>& out) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  for (const HostState& host : hosts_) {
-    if (!host.live) continue;
-    obs::HostAccuracyStats stats;
-    stats.host_id = host.host_id;
-    stats.observations = host.accuracy.observations();
-    stats.window = host.accuracy.window();
-    stats.in_window = host.accuracy.in_window();
-    stats.sums = host.accuracy.window_sums();
-    if (stats.sums.samples > 0) {
-      const double n = static_cast<double>(stats.sums.samples);
-      stats.rolling_mse = stats.sums.sum_sq_dif / n;
-      stats.rolling_mae = stats.sums.sum_abs_dif / n;
-      stats.rolling_mean_dif = stats.sums.sum_dif / n;
-    }
-    stats.gamma = host.tracker.calibration();
-    stats.gamma_drift = host.accuracy.gamma_drift();
-    stats.drift_positive = host.drift.positive_sum();
-    stats.drift_negative = host.drift.negative_sum();
-    stats.drifted = host.drift.drifted();
-    out.push_back(std::move(stats));
   }
 }
 

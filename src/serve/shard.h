@@ -2,7 +2,8 @@
 //
 // One shard of the fleet-serving engine: a bounded MPSC ingestion queue
 // plus the owned state of every host the stable hash assigned here (config,
-// calibrated dynamic predictor, CUSUM drift state, rolling accuracy window).
+// calibrated dynamic predictor, residual monitor: CUSUM drift state and
+// per-stage residual sums).
 //
 // Concurrency protocol (see DESIGN.md §7):
 //  * queue_mutex_ guards the event queue and the drain-claim flag; any
@@ -38,7 +39,6 @@
 
 #include "core/drift.h"
 #include "core/stable_predictor.h"
-#include "obs/accuracy.h"
 #include "obs/metrics.h"
 #include "serve/event.h"
 #include "serve/psi_cache.h"
@@ -109,9 +109,8 @@ class Shard {
   /// Restores a host from a snapshot (exact tracker state, no begin()).
   std::uint32_t import_host(const HostSnapshot& snapshot);
 
-  /// Tombstones a slot, frees the removed host's config and accuracy ring
-  /// (it keeps one entry), and returns its id; queued events addressed to
-  /// it count as apply errors.
+  /// Tombstones a slot, frees the removed host's config, and returns its
+  /// id; queued events addressed to it count as apply errors.
   std::string remove_host(std::uint32_t slot);
 
   std::size_t live_host_count() const;
@@ -137,7 +136,6 @@ class Shard {
   double forecast(std::uint32_t slot, double gap_s) const;
   mgmt::MonitoredConfig config_of(std::uint32_t slot) const;
   double calibration_of(std::uint32_t slot) const;
-  bool drifted(std::uint32_t slot) const;
 
   /// One HotspotRisk per live host in mgmt::scan_before order (the engine
   /// merges the shards' lists). The state lock covers only the forecasts;
@@ -148,17 +146,12 @@ class Shard {
   /// Appends one HostSnapshot per live host (unsorted).
   void append_snapshots(std::vector<HostSnapshot>& out) const;
 
-  /// Appends one accuracy row per live host (unsorted; the engine
-  /// aggregates via obs::aggregate_fleet).
-  void append_accuracy(std::vector<obs::HostAccuracyStats>& out) const;
-
  private:
   struct HostState {
     std::string host_id;
     mgmt::MonitoredConfig config;
     core::DynamicTemperaturePredictor tracker;
-    core::CusumDetector drift;
-    obs::HostAccuracy accuracy;
+    core::ResidualMonitor residuals;
     bool live = false;
   };
 

@@ -93,12 +93,20 @@ void save_host(std::ostream& os, const HostSnapshot& host) {
   os << "tracker " << (t.started ? 1 : 0) << " " << t.t0 << " " << t.gamma
      << " " << t.last_update_s << " " << t.last_observed_s << " " << t.phi0
      << " " << t.psi_stable << "\n";
-  os << "cusum " << host.drift_positive << " " << host.drift_negative << " "
-     << (host.drifted ? 1 : 0) << " " << host.drift_observations << "\n";
+  const core::ResidualMonitor& r = host.residuals;
+  os << "residuals " << r.positive << " " << r.negative << " "
+     << (r.drifted ? 1 : 0) << " " << r.count;
+  for (const core::StageSums* stage : {&r.transient, &r.stable}) {
+    os << " " << stage->weight << " " << stage->sum << " " << stage->sum_sq
+       << " " << stage->sum_abs;
+  }
+  os << "\n";
 }
 
-/// `v1`: the host carries a `resid` line, which is parsed and discarded.
-HostSnapshot load_host(std::istream& is, bool v1) {
+/// `version` is 1, 2 or 3. A v1 host carries a `resid` line, which is
+/// parsed and discarded; v1 and v2 hosts carry a `cusum` line and no stage
+/// sums, which start empty.
+HostSnapshot load_host(std::istream& is, int version) {
   HostSnapshot host;
   expect(is, "host");
   host.host_id = read_token(is, "host id");
@@ -143,18 +151,27 @@ HostSnapshot load_host(std::istream& is, bool v1) {
       read_value<double>(is, "tracker last observed");
   host.tracker.phi0 = read_value<double>(is, "tracker phi0");
   host.tracker.psi_stable = read_value<double>(is, "tracker psi_stable");
-  if (v1) {
+  if (version == 1) {
     expect(is, "resid");
     for (const char* what : {"residual count", "residual mean", "residual m2",
                              "residual min", "residual max"}) {
       (void)read_value<double>(is, what);
     }
   }
-  expect(is, "cusum");
-  host.drift_positive = read_value<double>(is, "cusum positive");
-  host.drift_negative = read_value<double>(is, "cusum negative");
-  host.drifted = read_flag(is, "cusum drifted");
-  host.drift_observations = read_value<std::size_t>(is, "cusum count");
+  core::ResidualMonitor& r = host.residuals;
+  expect(is, version < 3 ? "cusum" : "residuals");
+  r.positive = read_value<double>(is, "cusum positive");
+  r.negative = read_value<double>(is, "cusum negative");
+  r.drifted = read_flag(is, "cusum drifted");
+  r.count = read_value<std::uint64_t>(is, "cusum count");
+  if (version == 3) {
+    for (core::StageSums* stage : {&r.transient, &r.stable}) {
+      stage->weight = read_value<double>(is, "stage weight");
+      stage->sum = read_value<double>(is, "stage sum");
+      stage->sum_sq = read_value<double>(is, "stage sum of squares");
+      stage->sum_abs = read_value<double>(is, "stage absolute sum");
+    }
+  }
   return host;
 }
 
@@ -163,7 +180,7 @@ HostSnapshot load_host(std::istream& is, bool v1) {
 void save_fleet(std::ostream& os, FleetEngine& engine) {
   engine.flush();
   os << std::setprecision(17);
-  os << "vmtherm_fleet v2\n";
+  os << "vmtherm_fleet v3\n";
   const FleetEngineOptions& opt = engine.options();
   os << "dynamic " << opt.dynamic.learning_rate << " "
      << opt.dynamic.update_interval_s << " " << opt.dynamic.t_break_s << " "
@@ -215,9 +232,10 @@ void save_fleet(std::ostream& os, FleetEngine& engine) {
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options) {
   expect(is, "vmtherm_fleet");
-  const std::string version = read_token(is, "format version");
-  if (version != "v1" && version != "v2") {
-    throw IoError("fleet snapshot: unsupported version '" + version + "'");
+  const std::string token = read_token(is, "format version");
+  const int version = token.size() == 2 && token[0] == 'v' ? token[1] - '0' : 0;
+  if (version < 1 || version > 3) {
+    throw IoError("fleet snapshot: unsupported version '" + token + "'");
   }
   expect(is, "dynamic");
   options.dynamic.learning_rate = read_value<double>(is, "learning rate");
@@ -241,7 +259,12 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
   expect(is, "hosts");
   const auto host_count = read_value<std::size_t>(is, "host count");
   for (std::size_t i = 0; i < host_count; ++i) {
-    engine->import_host(load_host(is, version == "v1"));
+    // import_host rejects invalid configs and residual states.
+    try {
+      engine->import_host(load_host(is, version));
+    } catch (const ConfigError& e) {
+      throw IoError(std::string("fleet snapshot: ") + e.what());
+    }
   }
 
   expect(is, "metrics");

@@ -2,13 +2,13 @@
 //
 // Versioned text snapshot of a FleetEngine: the trained stable model
 // (embedded ml/model_io sections), the dynamic/drift configuration, every
-// live host's exact tracker and drift state, and the deterministic metric
-// counters. Doubles are written with 17 significant digits, so a
+// live host's exact tracker and residual monitor, and the deterministic
+// metric counters. Doubles are written with 17 significant digits, so a
 // save → load → save round-trip is byte-identical and a restored engine
 // continues bitwise-exactly where the saved one stopped.
 //
-// Format ("vmtherm_fleet v2"):
-//   vmtherm_fleet v2
+// Format ("vmtherm_fleet v3"):
+//   vmtherm_fleet v3
 //   dynamic <lr> <update_s> <t_break_s> <curvature> <calib> <retain>
 //   drift <slack_c> <threshold_c>
 //   <ml::save_scaler section>
@@ -20,14 +20,23 @@
 //            <idle_w> <max_cpu_w> <cpu_exp> <mem_w_per_gb>
 //            <c_die> <c_sink> <r_ds> <r_sa> <ref_fans> <fan_exp>
 //     tracker <started> <t0> <gamma> <last_upd> <last_obs> <phi0> <psi>
-//     cusum <pos> <neg> <drifted> <count>
+//     residuals <pos> <neg> <drifted> <count>
+//               <w> <sum> <sum_sq> <sum_abs>                (transient)
+//               <w> <sum> <sum_sq> <sum_abs>                (stable)
 //   metrics <n>
 //     counter <name> <value>
 //     hist <name> <n_bounds> <bounds...> <counts...>      (counts: n_bounds+1)
 //   end
 //
-// v1 files, written before v2 dropped the lifetime residual statistic,
-// still load: they carry one more host line after `tracker`,
+// The residuals line is core::ResidualMonitor: CUSUM state, then the
+// decayed residual sums of the transient and the stable stage. The loader
+// rejects negative CUSUM sums, weights, square or absolute sums and
+// non-finite values.
+//
+// Older files still load. v2 carries `cusum <pos> <neg> <drifted>
+// <count>` in place of the residuals line; its stage sums start empty. v1,
+// written before v2 dropped the lifetime residual statistic, is v2 with
+// one more host line after `tracker`,
 //     resid <n> <mean> <m2> <min> <max>
 // which the loader reads and discards.
 //

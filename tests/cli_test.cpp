@@ -339,10 +339,11 @@ TEST(RunCliTest, ServeStatsAndTraceAgreeOnTheReplayDigest) {
     return run(args);
   };
 
-  const auto stats = with_command("serve-stats", {"--window", "16"});
+  const auto stats = with_command("serve-stats", {});
   ASSERT_EQ(stats.code, 0) << stats.err;
   EXPECT_NE(stats.out.find("fleet rolling mse"), std::string::npos);
-  EXPECT_NE(stats.out.find("g_drift"), std::string::npos);
+  EXPECT_NE(stats.out.find("fleet stable bias"), std::string::npos);
+  EXPECT_NE(stats.out.find("transient_mse"), std::string::npos);
   EXPECT_EQ(kv_value(stats.out, "hosts"), "8");
 
   // Tracing must not perturb the replay: same forecast digest with the
@@ -365,12 +366,14 @@ TEST(RunCliTest, ServeStatsAndTraceAgreeOnTheReplayDigest) {
   EXPECT_NE(trace_json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 
   // JSON mode reports the same fleet in machine-readable form.
-  const auto json = with_command("serve-stats", {"--window", "16", "--json"});
+  const auto json = with_command("serve-stats", {"--json"});
   ASSERT_EQ(json.code, 0) << json.err;
   EXPECT_EQ(json.out.rfind("{\"fleet\":{\"hosts\":8,", 0), 0u);
   EXPECT_NE(json.out.find("\"rolling_mse\":"), std::string::npos);
   EXPECT_NE(json.out.find("\"host_id\":"), std::string::npos);
-  EXPECT_NE(json.out.find("\"gamma_drift\":"), std::string::npos);
+  EXPECT_NE(json.out.find("\"stable_bias\":"), std::string::npos);
+  EXPECT_NE(json.out.find("\"transient_mse\":"), std::string::npos);
+  EXPECT_EQ(json.out.find("window"), std::string::npos);
 
   std::filesystem::remove(records);
   std::filesystem::remove(model);
@@ -378,6 +381,7 @@ TEST(RunCliTest, ServeStatsAndTraceAgreeOnTheReplayDigest) {
 }
 
 TEST(RunCliTest, ServeStatsRejectsBadWindow) {
+  // The stage sums decay at a fixed rate; there is no window to set.
   const auto result = run({"serve-stats", "--model", "m.txt", "--window", "0"});
   EXPECT_EQ(result.code, 1);
   EXPECT_NE(result.err.find("--window"), std::string::npos);

@@ -150,8 +150,8 @@ TEST(LintCatalogTest, ScopesMatchTheDocumentedLayout) {
   EXPECT_TRUE(is_hot_path_file("src/ml/svr_inference.h"));
   EXPECT_TRUE(is_hot_path_file("src/obs/trace.h"));
   EXPECT_TRUE(is_hot_path_file("src/obs/trace.cpp"));
-  EXPECT_TRUE(is_hot_path_file("src/obs/accuracy.h"));
-  EXPECT_TRUE(is_hot_path_file("src/obs/accuracy.cpp"));
+  EXPECT_TRUE(is_hot_path_file("src/core/drift.h"));
+  EXPECT_TRUE(is_hot_path_file("src/core/drift.cpp"));
   EXPECT_FALSE(is_hot_path_file("src/serve/snapshot.cpp"));
   EXPECT_FALSE(is_hot_path_file("src/obs/chrome_trace.cpp"));  // cold export
 
@@ -328,7 +328,7 @@ TEST(LintReportTest, JsonReportIsWellFormedAndDeterministic) {
   const std::string a = to_json({v}, 3);
   const std::string b = to_json({v}, 3);
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"catalog_version\": 2"), std::string::npos);
+  EXPECT_NE(a.find("\"catalog_version\": 3"), std::string::npos);
   EXPECT_NE(a.find("\"files_scanned\": 3"), std::string::npos);
   EXPECT_NE(a.find("\"violation_count\": 1"), std::string::npos);
   EXPECT_NE(a.find("\\\" and \\\\ backslash\\nnewline"), std::string::npos);

@@ -492,16 +492,16 @@ TEST(FleetEngineTest, PerEventMetricsExactAfterFlushAtAnyTopology) {
     engine.ingest(
         TelemetryEvent::update_config(handles[3], 615.0, 41.0, idle_config()));
     // Time going backwards: rejected before the residual is scored, so
-    // the host's CUSUM and the histogram do not move.
+    // the host's residual monitor and the histogram do not move.
     engine.flush();
-    const std::size_t cusum_count = engine.export_hosts()[4].drift_observations;
+    const core::ResidualMonitor residuals = engine.export_hosts()[4].residuals;
     engine.ingest(TelemetryEvent::observe(handles[4], 5.0, 30.0));
 
     std::ostringstream mid;
     save_fleet(mid, engine);
     const std::vector<HostSnapshot> hosts = engine.export_hosts();
     ASSERT_EQ(hosts[4].host_id, "tally-4");  // export is sorted by id
-    EXPECT_EQ(hosts[4].drift_observations, cusum_count);
+    EXPECT_EQ(hosts[4].residuals, residuals);
     mid_snapshots.push_back(mid.str());
     EXPECT_NE(mid.str().find("counter apply.observe 320\n"),
               std::string::npos);

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/evaluator.h"
 
@@ -164,6 +167,23 @@ TEST(FleetSnapshotTest, FileRoundTrip) {
             restored->forecast(restored->handle_of(id), 60.0));
 }
 
+TEST(FleetSnapshotTest, AccuracyReportSurvivesRestore) {
+  auto engine = make_fed_engine(2, 50);  // 750 s: both stages are fed
+  std::ostringstream snapshot;
+  save_fleet(snapshot, *engine);
+  std::istringstream in(snapshot.str());
+  const FleetAccuracyStats saved = engine->accuracy_report();
+  const FleetAccuracyStats loaded =
+      load_fleet(in, engine_options(3))->accuracy_report();
+  EXPECT_GT(saved.stable.weight, 0.0);
+  EXPECT_GT(saved.transient.weight, 0.0);
+  EXPECT_EQ(loaded.hosts, saved.hosts);  // ids, γ and residual monitors
+  EXPECT_EQ(loaded.observations, saved.observations);
+  EXPECT_EQ(loaded.transient, saved.transient);
+  EXPECT_EQ(loaded.stable, saved.stable);
+  EXPECT_EQ(loaded.hosts_drifted, saved.hosts_drifted);
+}
+
 /// `snapshot` with `resid_line` after every tracker line, where v1 files
 /// carry the lifetime residual statistic.
 std::string with_resid_lines(const std::string& snapshot,
@@ -177,37 +197,77 @@ std::string with_resid_lines(const std::string& snapshot,
   return out;
 }
 
-/// Swaps the format header; both versions' headers have the same length.
+/// Swaps the format header; all versions' headers have the same length.
 std::string with_header(std::string snapshot, const std::string& header) {
   return snapshot.replace(0, header.size(), header);
 }
 
+/// `snapshot` with every host's `residuals` line replaced by its tokens
+/// (tokens[0] is "residuals") after `edit`, joined by single spaces.
+template <typename Edit>
+std::string with_residuals_edited(const std::string& snapshot, Edit edit) {
+  std::istringstream in(snapshot);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("residuals ", 0) == 0) {
+      std::istringstream fields(line);
+      std::vector<std::string> tokens;
+      for (std::string token; fields >> token;) tokens.push_back(token);
+      edit(tokens);
+      line.clear();
+      for (const std::string& token : tokens) {
+        line += line.empty() ? "" : " ";
+        line += token;
+      }
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
 TEST(FleetSnapshotTest, LoadsV1SnapshotsAndDropsResiduals) {
   auto engine = make_fed_engine(2, 20);
-  std::ostringstream v2;
-  save_fleet(v2, *engine);
+  std::ostringstream v3;
+  save_fleet(v3, *engine);
+  // v1 and v2 carry no stage sums: they restore empty.
+  // Their `cusum` line is the CUSUM state, the first four values.
+  const std::string v2 = with_header(
+      with_residuals_edited(v3.str(),
+                            [](std::vector<std::string>& tokens) {
+                              tokens.resize(5);
+                              tokens[0] = "cusum";
+                            }),
+      "vmtherm_fleet v2");
+  const std::string expected = with_residuals_edited(
+      v3.str(), [](std::vector<std::string>& tokens) {
+        std::fill(tokens.begin() + 5, tokens.end(), std::string("0"));
+      });
+  const std::string v1 = with_header(
+      with_resid_lines(v2, "resid 20 0.25 3.5 -1.5 2.0000000000000004"),
+      "vmtherm_fleet v1");
 
-  std::istringstream v1(with_header(
-      with_resid_lines(v2.str(), "resid 20 0.25 3.5 -1.5 2.0000000000000004"),
-      "vmtherm_fleet v1"));
-  auto restored = load_fleet(v1, engine_options(3));
-  std::ostringstream resaved;
-  save_fleet(resaved, *restored);
-  EXPECT_EQ(resaved.str(), v2.str());
-  for (int i = 0; i < 3; ++i) {
-    const std::string id = "host-" + std::to_string(i);
-    EXPECT_EQ(engine->forecast(engine->handle_of(id), 60.0),
-              restored->forecast(restored->handle_of(id), 60.0));
+  for (const std::string& old : {v1, v2}) {
+    std::istringstream in(old);
+    auto restored = load_fleet(in, engine_options(3));
+    std::ostringstream resaved;
+    save_fleet(resaved, *restored);
+    EXPECT_EQ(resaved.str(), expected);
+    for (int i = 0; i < 3; ++i) {
+      const std::string id = "host-" + std::to_string(i);
+      EXPECT_EQ(engine->forecast(engine->handle_of(id), 60.0),
+                restored->forecast(restored->handle_of(id), 60.0));
+    }
   }
 
   // The discarded line is still parsed: a short one misaligns the stream,
-  // and a v2 file does not carry it at all.
+  // and a v2 file does not carry it at all. A v3 file needs the sums.
   std::istringstream short_resid(with_header(
-      with_resid_lines(v2.str(), "resid 20 0.25 3.5"), "vmtherm_fleet v1"));
+      with_resid_lines(v2, "resid 20 0.25 3.5"), "vmtherm_fleet v1"));
   EXPECT_THROW((void)load_fleet(short_resid), IoError);
-  std::istringstream v2_with_resid(
-      with_resid_lines(v2.str(), "resid 0 0 0 0 0"));
+  std::istringstream v2_with_resid(with_resid_lines(v2, "resid 0 0 0 0 0"));
   EXPECT_THROW((void)load_fleet(v2_with_resid), IoError);
+  std::istringstream v3_with_cusum(with_header(v2, "vmtherm_fleet v3"));
+  EXPECT_THROW((void)load_fleet(v3_with_cusum), IoError);
 }
 
 TEST(FleetSnapshotTest, MalformedInputThrows) {
@@ -220,6 +280,20 @@ TEST(FleetSnapshotTest, MalformedInputThrows) {
   const std::string text = snapshot.str();
   std::istringstream truncated(text.substr(0, text.size() / 2));
   EXPECT_THROW((void)load_fleet(truncated), IoError);
+
+  // Residual states observe() cannot produce: negative CUSUM sums,
+  // weights, squares or absolute sums, and NaN. Fields count from 1 after
+  // `residuals`.
+  const std::vector<std::pair<int, std::string>> bad_fields = {
+      {1, "-1"}, {2, "-0.5"}, {5, "-1"},  {9, "-2"},
+      {7, "-4"}, {8, "-3"},   {12, "-1"}, {6, "nan"}};
+  for (const auto& [field, value] : bad_fields) {
+    std::istringstream bad(with_residuals_edited(
+        text, [&](std::vector<std::string>& tokens) {
+          tokens.at(static_cast<std::size_t>(field)) = value;
+        }));
+    EXPECT_THROW((void)load_fleet(bad), IoError) << field << " = " << value;
+  }
 
   EXPECT_THROW((void)load_fleet_file("/nonexistent/fleet.txt"), IoError);
 }

@@ -449,8 +449,8 @@ bool is_hot_path_file(const std::string& path) {
          path == "src/serve/event.h" || path == "src/serve/psi_cache.h" ||
          path == "src/ml/svr_inference.cpp" ||
          path == "src/ml/svr_inference.h" || path == "src/obs/trace.h" ||
-         path == "src/obs/trace.cpp" || path == "src/obs/accuracy.h" ||
-         path == "src/obs/accuracy.cpp";
+         path == "src/obs/trace.cpp" || path == "src/core/drift.h" ||
+         path == "src/core/drift.cpp";
 }
 
 bool in_header_scope(const std::string& path) {

@@ -26,7 +26,9 @@ namespace vmtherm::lint {
 /// v2: hot-path and concurrency scopes grew the src/obs tracer/accuracy
 /// files; the serve metrics files rejoined the determinism scope after
 /// the registry moved to src/obs.
-inline constexpr int kCatalogVersion = 2;
+/// v3: the hot-path scope follows the per-observe residual statistic from
+/// src/obs/accuracy to src/core/drift.
+inline constexpr int kCatalogVersion = 3;
 
 struct Rule {
   const char* id;
