@@ -9,10 +9,12 @@
 # workload it prints, for every end-to-end metric named in BENCHMARK.json,
 # each side's median and interquartile range and the number of pairs in
 # which the candidate is better, plus how many runs were correct and how
-# many operations failed. Run from the repo root:
+# many operations failed. With -l it prints the same for the named
+# per-layer metrics, read from the metric table in each run's output.
+# Run from the repo root:
 #
 #   scripts/bench_ab.sh [-b BASE] [-c CAND] [-w "W1 W2 ..."] [-s SEED]
-#                       [-n PAIRS] [-t SECONDS] [-d DIR]
+#                       [-n PAIRS] [-t SECONDS] [-d DIR] [-l "M1 M2 ..."]
 #
 #   BASE     git revision of the baseline (default HEAD)
 #   CAND     git revision of the candidate, or "worktree" (the default):
@@ -23,6 +25,9 @@
 #   SECONDS  length of each run (default 10)
 #   DIR      scratch directory for the two trees and the raw results
 #            (default: a new mktemp -d); reusing one skips the rebuilds
+#   M...     per-layer metrics of BENCHMARK.json to compare as well, e.g.
+#            "serve.save_ms serve.load_ms serve.snapshot_bytes" (default
+#            none); a workload that does not report one shows n/a
 #
 # Each run's JSON line is kept as
 # DIR/results/<workload>-s<seed>-<side>-<pair>.json, its output beside it.
@@ -36,7 +41,8 @@ SEED=42
 PAIRS=5
 SECONDS_PER_RUN=10
 DIR=""
-while getopts b:c:w:s:n:t:d: opt; do
+LAYERS=""
+while getopts b:c:w:s:n:t:d:l: opt; do
   case "$opt" in
     b) BASE="$OPTARG" ;;
     c) CAND="$OPTARG" ;;
@@ -45,7 +51,8 @@ while getopts b:c:w:s:n:t:d: opt; do
     n) PAIRS="$OPTARG" ;;
     t) SECONDS_PER_RUN="$OPTARG" ;;
     d) DIR="$OPTARG" ;;
-    *) sed -n '2,29p' "$0" >&2; exit 2 ;;
+    l) LAYERS="$OPTARG" ;;
+    *) sed -n '2,34p' "$0" >&2; exit 2 ;;
   esac
 done
 
@@ -100,7 +107,7 @@ for workload in $WORKLOADS; do
 done
 
 python3 - "$ROOT/BENCHMARK.json" "$DIR/results" "$SEED" "$PAIRS" \
-  $WORKLOADS <<'EOF' || status=1
+  "$LAYERS" $WORKLOADS <<'EOF' || status=1
 import json
 import statistics
 import sys
@@ -108,19 +115,43 @@ from pathlib import Path
 
 spec = json.loads(Path(sys.argv[1]).read_text())
 results, seed, pairs = Path(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-metrics = spec["end_to_end"]
+per_layer = {m["name"]: m for m in spec["per_layer"]}
+layers = sys.argv[5].split()
+workloads = sys.argv[6:]
+unknown = [name for name in layers if name not in per_layer]
+if unknown:
+    sys.exit(f"bench_ab: not a per-layer metric of BENCHMARK.json: {unknown}")
 
 
 def load(workload, side, pair):
     try:
         path = results / f"{workload}-s{seed}-{side}-{pair}.json"
-        return json.loads(path.read_text())
+        run = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    # The metric tables of the run's output: "#   <name>  <value>  <unit>
+    # n=<n>  <tail>" rows, the per-layer ones among them.
+    run["table"] = {}
+    try:
+        lines = Path(f"{path}.log").read_text().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        fields = line.split()
+        if len(fields) >= 5 and fields[0] == "#" and fields[4].startswith("n="):
+            try:
+                run["table"][fields[1]] = float(fields[2])
+            except ValueError:
+                pass
+    return run
 
 
 def value(run, name):
-    v = run["metrics"].get(name) if run else None
+    if run is None:
+        return None
+    if name in per_layer:
+        return run["table"].get(name)
+    v = run["metrics"].get(name)
     if isinstance(v, dict):
         v = v.get("median", v.get("value"))
     return v
@@ -141,36 +172,46 @@ def fmt(x):
     return f"{x:.3g}" if abs(x) < 1 else f"{x:.2f}"
 
 
-bad = False
-print("| workload (seed, pairs) | " + " | ".join(m["name"] for m in metrics)
-      + " | correct, failed |")
-print("|---" * (len(metrics) + 2) + "|")
-for workload in sys.argv[5:]:
-    runs = {side: [load(workload, side, p) for p in range(1, pairs + 1)]
-            for side in ("base", "cand")}
-    cells = []
-    for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
-        a = [value(r, name) for r in runs["base"]]
-        b = [value(r, name) for r in runs["cand"]]
-        both = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
-        if not both:
-            cells.append("n/a")
-            continue
-        xs, ys = [x for x, _ in both], [y for _, y in both]
-        better = sum(1 for x, y in both if (y > x if higher else y < x))
-        (aq1, aq3), (bq1, bq3) = quartiles(xs), quartiles(ys)
-        cells.append(f"{fmt(statistics.median(xs))} ({fmt(aq1)}–{fmt(aq3)}) → "
-                     f"{fmt(statistics.median(ys))} ({fmt(bq1)}–{fmt(bq3)}), "
-                     f"{better}/{len(both)}")
-    checks = []
-    for side in ("base", "cand"):
-        ok = sum(1 for r in runs[side] if r and r.get("correct") is True)
-        failed = sum(r.get("failed", 0) for r in runs[side] if r)
-        bad |= ok != pairs or failed != 0
-        checks.append(f"{side} {ok}/{pairs}, {failed}")
-    print(f"| {workload} ({seed}, {pairs}) | " + " | ".join(cells)
-          + " | " + "; ".join(checks) + " |")
+def cell(runs, m):
+    name, higher = m["name"], m["better"] == "higher"
+    a = [value(r, name) for r in runs["base"]]
+    b = [value(r, name) for r in runs["cand"]]
+    both = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
+    if not both:
+        return "n/a"
+    xs, ys = [x for x, _ in both], [y for _, y in both]
+    better = sum(1 for x, y in both if (y > x if higher else y < x))
+    (aq1, aq3), (bq1, bq3) = quartiles(xs), quartiles(ys)
+    return (f"{fmt(statistics.median(xs))} ({fmt(aq1)}–{fmt(aq3)}) → "
+            f"{fmt(statistics.median(ys))} ({fmt(bq1)}–{fmt(bq3)}), "
+            f"{better}/{len(both)}")
+
+
+def table(metrics, with_checks):
+    bad = False
+    print("| workload (seed, pairs) | " + " | ".join(m["name"] for m in metrics)
+          + (" | correct, failed |" if with_checks else " |"))
+    print("|---" * (len(metrics) + 1 + with_checks) + "|")
+    for workload in workloads:
+        runs = {side: [load(workload, side, p) for p in range(1, pairs + 1)]
+                for side in ("base", "cand")}
+        cells = [cell(runs, m) for m in metrics]
+        if with_checks:
+            checks = []
+            for side in ("base", "cand"):
+                ok = sum(1 for r in runs[side] if r and r.get("correct") is True)
+                failed = sum(r.get("failed", 0) for r in runs[side] if r)
+                bad |= ok != pairs or failed != 0
+                checks.append(f"{side} {ok}/{pairs}, {failed}")
+            cells.append("; ".join(checks))
+        print(f"| {workload} ({seed}, {pairs}) | " + " | ".join(cells) + " |")
+    return bad
+
+
+bad = table(spec["end_to_end"], True)
+if layers:
+    print()
+    table([per_layer[name] for name in layers], False)
 print("\nmedian (IQR) base → cand, pairs where cand is better")
 sys.exit(1 if bad else 0)
 EOF

@@ -110,11 +110,14 @@ CommandSpec dynamic_spec() {
 
 /// Replay knobs shared by serve-replay, trace and serve-stats: one spec
 /// helper and one parse helper so the three commands can't drift apart.
-void add_replay_options(CommandSpec& spec) {
+/// `default_steps` observations per host at the default 5 s interval:
+/// 120 reach t_break (600 s); serve-stats runs 240 so that each host's
+/// ψ_stable stage is fed as long as its transient one.
+void add_replay_options(CommandSpec& spec, const char* default_steps = "120") {
   spec.add(make_option("model", "trained model path", true));
   spec.add(make_option("hosts", "fleet size", false, false, false, "32"));
   spec.add(make_option("steps", "observe events per host", false, false,
-                       false, "120"));
+                       false, default_steps));
   spec.add(make_option("interval", "trace sampling interval in seconds",
                        false, false, false, "5"));
   spec.add(make_option("gap", "forecast gap in seconds", false, false, false,
@@ -185,8 +188,9 @@ CommandSpec serve_stats_spec() {
                    "telemetry: per-host decayed MSE/MAE of dif = phi - psi "
                    "(about the last 128 observations), split into psi_stable "
                    "bias and transient error, calibration gamma, CUSUM state "
-                   "and cache/queue health");
-  add_replay_options(spec);
+                   "and cache/queue health; the default 240 steps run past "
+                   "t_break, so the stable stage is fed");
+  add_replay_options(spec, "240");
   spec.add(make_option("top",
                        "host rows to print (sorted by rolling MSE, worst "
                        "first); 0 = all",
@@ -482,6 +486,7 @@ void write_stats_json(std::ostream& os,
     num("rolling_mae", merged.mae());
     num("rolling_mean_dif", merged.mean());
     num("stable_bias", stable.mean());
+    num("stable_weight", stable.weight);
     num("transient_mse", transient.mse());
   };
   os << "{\"fleet\":{\"hosts\":" << stats.hosts.size()

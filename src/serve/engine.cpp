@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <type_traits>
 
 #include "obs/trace.h"
 #include "util/hash.h"
@@ -24,6 +25,37 @@ std::vector<double> latency_bounds_us() {
 /// Calibration |error| buckets in deg C.
 std::vector<double> calibration_bounds_c() {
   return {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
+}
+
+/// Pointers to the rows of `lists`, each sorted by `before`, in merged
+/// `before` order: a k-way merge through a heap of the lists with rows
+/// left, the list whose next row ranks first on top.
+template <typename Lists, typename Before>
+auto merge_sorted(Lists& lists, Before before) {
+  using Row = std::remove_reference_t<decltype(lists[0][0])>;
+  std::vector<std::size_t> next(lists.size(), 0), heap;
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < lists.size(); ++s) {
+    total += lists[s].size();
+    if (!lists[s].empty()) heap.push_back(s);
+  }
+  const auto later = [&](std::size_t a, std::size_t b) {
+    return before(lists[b][next[b]], lists[a][next[a]]);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<Row*> merged;
+  merged.reserve(total);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t s = heap.back();
+    merged.push_back(&lists[s][next[s]++]);
+    if (next[s] < lists[s].size()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return merged;
 }
 
 }  // namespace
@@ -188,10 +220,10 @@ void FleetEngine::ingest_batch(std::vector<TelemetryEvent> events) {
       const Route& route = routes[event.host];
       Shard::Run& run = run_data[route.shard];
       if (run.events.capacity() == 0) run.events.reserve(balanced);
-      const mgmt::MonitoredConfig* config = nullptr;
+      std::uint32_t config = Shard::kNoConfig;
       if (event.config != nullptr) {  // rare: config updates only
+        config = static_cast<std::uint32_t>(run.configs.size());
         run.configs.push_back(std::move(event.config));
-        config = run.configs.back().get();
       }
       run.events.push_back(Shard::QueuedEvent{
           event.type, route.slot, event.time_s, event.measured_c, config});
@@ -266,32 +298,14 @@ std::vector<mgmt::HotspotRisk> FleetEngine::hotspot_scan(
     per_shard[s] = shards_[s]->ranked_risks(horizon_s, threshold_c);
   });
 
-  // k-way merge of the ranked lists: a heap of the shards with rows left,
-  // the shard whose next row ranks first on top.
-  std::vector<std::size_t> next(per_shard.size(), 0), heap;
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    total += per_shard[s].size();
-    if (!per_shard[s].empty()) heap.push_back(s);
-  }
-  const auto later = [&](std::size_t a, std::size_t b) {
-    const mgmt::HotspotRisk& x = per_shard[a][next[a]];
-    const mgmt::HotspotRisk& y = per_shard[b][next[b]];
-    return mgmt::scan_before(y.forecast_c, y.host_id, x.forecast_c, x.host_id);
-  };
-  std::make_heap(heap.begin(), heap.end(), later);
+  const std::vector<mgmt::HotspotRisk*> order = merge_sorted(
+      per_shard, [](const mgmt::HotspotRisk& x, const mgmt::HotspotRisk& y) {
+        return mgmt::scan_before(x.forecast_c, x.host_id, y.forecast_c,
+                                 y.host_id);
+      });
   std::vector<mgmt::HotspotRisk> risks;
-  risks.reserve(total);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const std::size_t s = heap.back();
-    risks.push_back(std::move(per_shard[s][next[s]++]));
-    if (next[s] < per_shard[s].size()) {
-      std::push_heap(heap.begin(), heap.end(), later);
-    } else {
-      heap.pop_back();
-    }
-  }
+  risks.reserve(order.size());
+  for (mgmt::HotspotRisk* row : order) risks.push_back(std::move(*row));
   return risks;
 }
 
@@ -305,21 +319,28 @@ double FleetEngine::calibration_of(HostHandle handle) const {
   return shards_[route.shard]->calibration_of(route.slot);
 }
 
+std::vector<std::vector<HostSnapshot>> FleetEngine::export_shards() const {
+  std::vector<std::vector<HostSnapshot>> per_shard(shards_.size());
+  pool_.parallel_for(0, shards_.size(), [&](std::size_t s) {
+    per_shard[s] = shards_[s]->sorted_snapshots();
+  });
+  return per_shard;
+}
+
 std::vector<HostSnapshot> FleetEngine::export_hosts() const {
+  const std::vector<std::vector<HostSnapshot>> per_shard = export_shards();
   std::vector<HostSnapshot> hosts;
-  for (const auto& shard : shards_) shard->append_snapshots(hosts);
-  std::sort(hosts.begin(), hosts.end(),
-            [](const HostSnapshot& a, const HostSnapshot& b) {
-              return a.host_id < b.host_id;
-            });
+  for (const HostSnapshot* host : by_host_id(per_shard)) {
+    hosts.push_back(*host);
+  }
   return hosts;
 }
 
 FleetAccuracyStats FleetEngine::accuracy_report() const {
+  const std::vector<std::vector<HostSnapshot>> per_shard = export_shards();
   std::vector<HostAccuracyStats> rows;
-  for (HostSnapshot& host : export_hosts()) {
-    rows.push_back(
-        {std::move(host.host_id), host.tracker.gamma, host.residuals});
+  for (const HostSnapshot* host : by_host_id(per_shard)) {
+    rows.push_back({host->host_id, host->tracker.gamma, host->residuals});
   }
   FleetAccuracyStats fleet = aggregate_fleet(std::move(rows));
   // Registry pointers the engine already holds; the const registry has no
@@ -328,6 +349,13 @@ FleetAccuracyStats FleetEngine::accuracy_report() const {
   fleet.psi_cache_misses = shard_metrics_.psi_cache_misses->value();
   fleet.queue_high_water = shard_metrics_.queue_high_water->value();
   return fleet;
+}
+
+std::vector<const HostSnapshot*> by_host_id(
+    const std::vector<std::vector<HostSnapshot>>& shards) {
+  return merge_sorted(shards, [](const HostSnapshot& a, const HostSnapshot& b) {
+    return a.host_id < b.host_id;
+  });
 }
 
 FleetAccuracyStats aggregate_fleet(std::vector<HostAccuracyStats> hosts) {

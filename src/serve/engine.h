@@ -113,8 +113,14 @@ class FleetEngine {
   double calibration_of(HostHandle handle) const;
 
   /// Live host states sorted by host id (snapshot support; deterministic
-  /// output at any shard count).
+  /// output at any shard count). Rows share the engine's immutable
+  /// configs; nothing is deep-copied.
   std::vector<HostSnapshot> export_hosts() const;
+
+  /// The same rows, one list per shard, each sorted by host id on the
+  /// pool. by_host_id() walks them in fleet order without merging them
+  /// into one vector (save_fleet, accuracy_report).
+  std::vector<std::vector<HostSnapshot>> export_shards() const;
 
   /// Re-creates a host from a snapshot with its exact tracker/drift state
   /// (no begin()); same id rules as register_host.
@@ -168,6 +174,10 @@ class FleetEngine {
   obs::Gauge* hosts_gauge_ = nullptr;
   obs::Histogram* forecast_batch_us_ = nullptr;
 };
+
+/// The rows of `shards`, each list sorted by host id, in host-id order.
+std::vector<const HostSnapshot*> by_host_id(
+    const std::vector<std::vector<HostSnapshot>>& shards);
 
 /// Sorts `hosts` by host_id and merges their stage sums in that order —
 /// the result is independent of how hosts were distributed over shards.

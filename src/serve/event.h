@@ -134,10 +134,12 @@ struct FleetEngineOptions {
   }
 };
 
-/// Full per-host engine state as plain data (snapshot support).
+/// Full per-host engine state (snapshot support). The running condition
+/// is the engine's shared immutable config, not a copy; import_host
+/// rejects a null one.
 struct HostSnapshot {
   std::string host_id;
-  mgmt::MonitoredConfig config;
+  std::shared_ptr<const mgmt::MonitoredConfig> config;
   core::DynamicPredictorState tracker;
   core::ResidualMonitor residuals;
 };

@@ -17,6 +17,38 @@ constexpr std::size_t kDrainChunk = 256;
 
 }  // namespace
 
+ConditionTable::Config ConditionTable::intern(
+    const mgmt::MonitoredConfig& config) {
+  const std::uint64_t hash = mgmt::condition_hash(config);
+  const auto [first, last] = entries_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (mgmt::same_condition(*it->second, config)) return it->second;
+  }
+  if (entries_.size() >= sweep_at_) {
+    std::erase_if(entries_,
+                  [](const auto& entry) { return entry.second.use_count() == 1; });
+    sweep_at_ = std::max(kMinSweep, 2 * entries_.size());
+  }
+  return entries_
+      .emplace(hash, std::make_shared<const mgmt::MonitoredConfig>(config))
+      ->second;
+}
+
+void ConditionTable::release(Config& config) {
+  // Two references left: the caller's and, if it is interned, the table's.
+  if (config.use_count() == 2) {
+    const auto [first, last] =
+        entries_.equal_range(mgmt::condition_hash(*config));
+    for (auto it = first; it != last; ++it) {
+      if (it->second == config) {
+        entries_.erase(it);
+        break;
+      }
+    }
+  }
+  config.reset();
+}
+
 Shard::Shard(const core::StableTemperaturePredictor* predictor,
              const FleetEngineOptions* options, ShardMetrics metrics)
     : predictor_(predictor),
@@ -28,27 +60,28 @@ Shard::Shard(const core::StableTemperaturePredictor* predictor,
 }
 
 bool Shard::accepts(const QueuedEvent& event) const noexcept {
-  return event.slot < hosts_.size() && hosts_[event.slot].live &&
+  return event.slot < hosts_.size() && hosts_[event.slot].live() &&
          std::isfinite(event.time_s) && std::isfinite(event.measured_c);
 }
 
-std::size_t Shard::resolve_chunk(const std::vector<QueuedEvent>& events,
-                                 std::size_t begin, std::size_t end) {
+std::size_t Shard::resolve_chunk(const Run& run, std::size_t begin,
+                                 std::size_t end) {
   PsiBatch& batch = psi_batch_;
   batch.configs.clear();
   batch.events.clear();
   for (std::size_t i = begin; i < end; ++i) {
-    const QueuedEvent& event = events[i];
+    const QueuedEvent& event = run.events[i];
     if (event.type != TelemetryEvent::Type::kUpdateConfig ||
-        event.config == nullptr || !accepts(event)) {
+        event.config == kNoConfig || !accepts(event)) {
       continue;
     }
+    const mgmt::MonitoredConfig* config = run.configs[event.config].get();
     try {
-      event.config->validate();
+      config->validate();
     } catch (const Error&) {
       continue;  // pass 2 counts it in apply.errors
     }
-    batch.configs.push_back(event.config);
+    batch.configs.push_back(config);
     batch.events.push_back(i);
   }
   batch.psi.resize(batch.configs.size());
@@ -143,14 +176,14 @@ std::uint32_t Shard::add_host(std::string host_id,
                               double measured_c) {
   config.validate();
   std::lock_guard<std::mutex> lock(state_mutex_);
+  HostState host{std::move(host_id), conditions_.intern(config),
+                 core::DynamicTemperaturePredictor(options_->dynamic),
+                 core::ResidualMonitor{}};
   // ψ under the state lock: the cache and scratch buffers are shard state.
   // A registration resolves as a one-condition chunk.
-  const mgmt::MonitoredConfig* const conditions[] = {&config};
+  const mgmt::MonitoredConfig* const conditions[] = {host.config.get()};
   double psi = 0.0;
   resolve_psi(conditions, std::span<double>(&psi, 1));
-  HostState host{std::move(host_id), std::move(config),
-                 core::DynamicTemperaturePredictor(options_->dynamic),
-                 core::ResidualMonitor{}, true};
   host.tracker.begin(t0, measured_c, psi);
   hosts_.push_back(std::move(host));
   ++live_count_;
@@ -159,34 +192,39 @@ std::uint32_t Shard::add_host(std::string host_id,
 }
 
 std::uint32_t Shard::import_host(const HostSnapshot& snapshot) {
-  snapshot.config.validate();
+  detail::require(snapshot.config != nullptr, "host snapshot has no config");
+  snapshot.config->validate();
   snapshot.residuals.validate();
+  core::DynamicTemperaturePredictor tracker(options_->dynamic);
+  tracker.restore_state(snapshot.tracker);
   std::lock_guard<std::mutex> lock(state_mutex_);
-  HostState host{snapshot.host_id, snapshot.config,
-                 core::DynamicTemperaturePredictor(options_->dynamic),
-                 snapshot.residuals, true};
-  host.tracker.restore_state(snapshot.tracker);
-  hosts_.push_back(std::move(host));
+  hosts_.push_back(HostState{snapshot.host_id,
+                             conditions_.intern(*snapshot.config),
+                             std::move(tracker), snapshot.residuals});
   ++live_count_;
   return static_cast<std::uint32_t>(hosts_.size() - 1);
 }
 
 std::string Shard::remove_host(std::uint32_t slot) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  detail::require(slot < hosts_.size() && hosts_[slot].live,
+  detail::require(slot < hosts_.size() && hosts_[slot].live(),
                   "shard slot is not live");
   HostState& host = hosts_[slot];
-  host.live = false;
   --live_count_;
   // The tombstone keeps its slot (queued events for it still count as
-  // apply errors) but frees the config's VM list.
-  host.config = mgmt::MonitoredConfig{};
+  // apply errors) but releases its config reference.
+  conditions_.release(host.config);
   return std::move(host.host_id);
 }
 
 std::size_t Shard::live_host_count() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   return live_count_;
+}
+
+std::size_t Shard::condition_count() const {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return conditions_.size();
 }
 
 void Shard::enqueue_run(Run&& run, util::ThreadPool* pool) {
@@ -273,7 +311,7 @@ void Shard::drain_until_empty() {
         // Pass 1: ψ for the chunk's config updates. Observe-only runs
         // carry no configs and skip it.
         const std::size_t resolved =
-            run.configs.empty() ? 0 : resolve_chunk(run.events, begin, end);
+            run.configs.empty() ? 0 : resolve_chunk(run, begin, end);
         // Pass 2: every event in queue order; `next` walks the resolved
         // config events, which are in the same order.
         std::size_t next = 0;
@@ -282,7 +320,7 @@ void Shard::drain_until_empty() {
           if (next < resolved && psi_batch_.events[next] == i) {
             psi = &psi_batch_.psi[next++];
           }
-          apply(run.events[i], psi);
+          apply(run.events[i], run, psi);
         }
         publish_tally();
       }
@@ -295,7 +333,7 @@ void Shard::drain_until_empty() {
   }
 }
 
-void Shard::apply(const QueuedEvent& event, const double* psi) {
+void Shard::apply(const QueuedEvent& event, Run& run, const double* psi) {
   // Unknown hosts and non-finite times or readings are rejected before any
   // host state is touched: one bad reading must not poison γ, the
   // residual monitor or the snapshot.
@@ -344,10 +382,12 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
           ++tally_.apply_errors;
           break;
         }
-        // A throwing retarget leaves the tracker unchanged; the config is
-        // copied after it so a rejected update leaves both as they were.
+        // A throwing retarget leaves the tracker unchanged; the host adopts
+        // the event's config after it, so a rejected update leaves both as
+        // they were. The host's old config goes to the run, which frees it
+        // with the run's other payloads outside the state lock.
         host.tracker.retarget(event.time_s, event.measured_c, *psi);
-        host.config = *event.config;
+        std::swap(host.config, run.configs[event.config]);
         ++tally_.config_applied;
         break;
       }
@@ -361,21 +401,21 @@ void Shard::apply(const QueuedEvent& event, const double* psi) {
 
 double Shard::forecast(std::uint32_t slot, double gap_s) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  detail::require(slot < hosts_.size() && hosts_[slot].live,
+  detail::require(slot < hosts_.size() && hosts_[slot].live(),
                   "shard slot is not live");
   return hosts_[slot].tracker.predict_ahead(gap_s);
 }
 
 mgmt::MonitoredConfig Shard::config_of(std::uint32_t slot) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  detail::require(slot < hosts_.size() && hosts_[slot].live,
+  detail::require(slot < hosts_.size() && hosts_[slot].live(),
                   "shard slot is not live");
-  return hosts_[slot].config;
+  return *hosts_[slot].config;
 }
 
 double Shard::calibration_of(std::uint32_t slot) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  detail::require(slot < hosts_.size() && hosts_[slot].live,
+  detail::require(slot < hosts_.size() && hosts_[slot].live(),
                   "shard slot is not live");
   return hosts_[slot].tracker.calibration();
 }
@@ -387,7 +427,7 @@ std::vector<mgmt::HotspotRisk> Shard::ranked_risks(double horizon_s,
     std::lock_guard<std::mutex> lock(state_mutex_);
     rows.reserve(live_count_);
     for (const HostState& host : hosts_) {
-      if (!host.live) continue;
+      if (!host.live()) continue;
       const double forecast = host.tracker.predict_ahead(horizon_s);
       rows.push_back({host.host_id, forecast, forecast >= threshold_c});
     }
@@ -406,17 +446,22 @@ std::vector<mgmt::HotspotRisk> Shard::ranked_risks(double horizon_s,
   return ranked;
 }
 
-void Shard::append_snapshots(std::vector<HostSnapshot>& out) const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  for (const HostState& host : hosts_) {
-    if (!host.live) continue;
-    HostSnapshot snapshot;
-    snapshot.host_id = host.host_id;
-    snapshot.config = host.config;
-    snapshot.tracker = host.tracker.export_state();
-    snapshot.residuals = host.residuals;
-    out.push_back(std::move(snapshot));
+std::vector<HostSnapshot> Shard::sorted_snapshots() const {
+  std::vector<HostSnapshot> rows;
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    rows.reserve(live_count_);
+    for (const HostState& host : hosts_) {
+      if (!host.live()) continue;
+      rows.push_back({host.host_id, host.config, host.tracker.export_state(),
+                      host.residuals});
+    }
   }
+  std::sort(rows.begin(), rows.end(),
+            [](const HostSnapshot& a, const HostSnapshot& b) {
+              return a.host_id < b.host_id;
+            });
+  return rows;
 }
 
 }  // namespace vmtherm::serve

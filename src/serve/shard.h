@@ -1,9 +1,10 @@
 // vmtherm/serve/shard.h
 //
 // One shard of the fleet-serving engine: a bounded MPSC ingestion queue
-// plus the owned state of every host the stable hash assigned here (config,
-// calibrated dynamic predictor, residual monitor: CUSUM drift state and
-// per-stage residual sums).
+// plus the owned state of every host the stable hash assigned here (its
+// running condition, calibrated dynamic predictor, residual monitor: CUSUM
+// drift state and per-stage residual sums). Hosts on the same running
+// condition share one immutable config (ConditionTable).
 //
 // Concurrency protocol (see DESIGN.md §7):
 //  * queue_mutex_ guards the event queue and the drain-claim flag; any
@@ -19,6 +20,11 @@
 //    then one batched SVR call for the misses), pass 2 applies every event
 //    in queue order. ψ depends only on the config, so the split changes
 //    no result.
+//  * A config update adopts the event's own shared config: the drain does
+//    no deep copy and never touches the condition table, which only
+//    add_host/import_host (insert) and remove_host (release) use. The
+//    host's old config goes back to the run, which frees it after the
+//    state lock is released.
 //  * Per-event metrics are counted into the tally, not the shared
 //    registry, and published once per drain chunk and at the end of
 //    add_host, so drainers of different shards write no shared cache line
@@ -33,7 +39,9 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <memory>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,24 +78,57 @@ struct ShardMetrics {
   obs::Histogram* drain_batch_us = nullptr;
 };
 
+/// A shard's interned running conditions: registered and restored hosts on
+/// bitwise-equal configs (mgmt::same_condition) share one immutable entry.
+/// Not synchronized; the shard uses it under its state lock.
+///
+/// Entries are dropped once no host uses them: release() drops an entry at
+/// once when its last registered host is removed, and insert() sweeps out
+/// every entry only the table still holds (hosts that moved to a config
+/// event's condition leave those behind) whenever the table has doubled
+/// since the last sweep, which keeps inserts amortized O(1).
+class ConditionTable {
+ public:
+  using Config = std::shared_ptr<const mgmt::MonitoredConfig>;
+
+  /// The entry bitwise-equal to `config`; a copy is added if none is.
+  Config intern(const mgmt::MonitoredConfig& config);
+
+  /// Resets `config` (a host's reference), and drops its entry if that was
+  /// the last host holding it.
+  void release(Config& config);
+
+  std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  static constexpr std::size_t kMinSweep = 64;
+
+  std::unordered_multimap<std::uint64_t, Config> entries_;  ///< by hash
+  std::size_t sweep_at_ = kMinSweep;
+};
+
 class Shard {
  public:
+  /// QueuedEvent::config of an event without a config payload.
+  static constexpr std::uint32_t kNoConfig = 0xffffffffu;
+
   /// An event routed to this shard: like TelemetryEvent but addressed by
   /// the shard-local slot the engine resolved from the host handle.
   /// Trivially copyable on purpose — the producer-visible grouping loop
   /// writes one of these per event, so config ownership lives out-of-band
-  /// in the run (Run::configs) and the event only carries a raw pointer.
+  /// in the run (Run::configs) and the event only carries its index.
   struct QueuedEvent {
     TelemetryEvent::Type type = TelemetryEvent::Type::kObserve;
     std::uint32_t slot = 0;
     double time_s = 0.0;
     double measured_c = 0.0;
-    const mgmt::MonitoredConfig* config = nullptr;  ///< owned by the run
+    std::uint32_t config = kNoConfig;  ///< index into Run::configs
   };
 
   /// One ingest batch's events for this shard, queued whole. `configs`
-  /// keeps every kUpdateConfig payload alive until the run is applied
-  /// (QueuedEvent::config points into it); observes carry no ownership.
+  /// holds every kUpdateConfig payload until the run is applied, when an
+  /// accepted update swaps its payload with the host's old config;
+  /// observes carry no ownership.
   struct Run {
     std::vector<QueuedEvent> events;
     std::vector<std::shared_ptr<const mgmt::MonitoredConfig>> configs;
@@ -109,11 +150,14 @@ class Shard {
   /// Restores a host from a snapshot (exact tracker state, no begin()).
   std::uint32_t import_host(const HostSnapshot& snapshot);
 
-  /// Tombstones a slot, frees the removed host's config, and returns its
-  /// id; queued events addressed to it count as apply errors.
+  /// Tombstones a slot, releases the removed host's config, and returns
+  /// its id; queued events addressed to it count as apply errors.
   std::string remove_host(std::uint32_t slot);
 
   std::size_t live_host_count() const;
+
+  /// Entries of the condition table (diagnostic).
+  std::size_t condition_count() const;
 
   // --- data plane ---------------------------------------------------------
 
@@ -143,16 +187,20 @@ class Shard {
   std::vector<mgmt::HotspotRisk> ranked_risks(double horizon_s,
                                               double threshold_c) const;
 
-  /// Appends one HostSnapshot per live host (unsorted).
-  void append_snapshots(std::vector<HostSnapshot>& out) const;
+  /// One HostSnapshot per live host, sorted by host id. The state lock
+  /// covers only the copy (configs are shared, not copied); the rows are
+  /// sorted after it is released.
+  std::vector<HostSnapshot> sorted_snapshots() const;
 
  private:
+  /// A host's state; a tombstone (removed host) has no config.
   struct HostState {
     std::string host_id;
-    mgmt::MonitoredConfig config;
+    ConditionTable::Config config;
     core::DynamicTemperaturePredictor tracker;
     core::ResidualMonitor residuals;
-    bool live = false;
+
+    bool live() const noexcept { return config != nullptr; }
   };
 
   /// Per-event metric increments not yet added to the registry. Plain
@@ -199,11 +247,11 @@ class Shard {
   bool accepts(const QueuedEvent& event) const noexcept;
 
   /// Pass 1 of a drain chunk: resolves ψ_stable for every config event in
-  /// events[begin, end) that apply() would accept (live slot, finite
+  /// run.events[begin, end) that apply() would accept (live slot, finite
   /// values, valid config) into psi_batch_.events/.psi, and returns how
   /// many it resolved. Requires state_mutex_ to be held.
-  std::size_t resolve_chunk(const std::vector<QueuedEvent>& events,
-                            std::size_t begin, std::size_t end);
+  std::size_t resolve_chunk(const Run& run, std::size_t begin,
+                            std::size_t end);
 
   /// ψ_stable of each running condition into psi[i]: featurize, look up
   /// psi_cache_, then evaluate every distinct miss in one batched SVR call
@@ -211,9 +259,10 @@ class Shard {
   void resolve_psi(std::span<const mgmt::MonitoredConfig* const> configs,
                    std::span<double> psi);
 
-  /// Pass 2: applies one event under state_mutex_. `psi` is the value
-  /// resolve_chunk found for a config event, or nullptr if it found none.
-  void apply(const QueuedEvent& event, const double* psi);
+  /// Pass 2: applies one event of `run` under state_mutex_. `psi` is the
+  /// value resolve_chunk found for a config event, or nullptr if it found
+  /// none; an applied config event swaps its payload into the host.
+  void apply(const QueuedEvent& event, Run& run, const double* psi);
 
   /// Adds the tally into the registry metrics and zeroes it. Requires
   /// state_mutex_ to be held.
@@ -226,10 +275,11 @@ class Shard {
   /// Held per drain chunk by the drainer, briefly by synchronous readers
   /// (forecast, snapshot). tally_ is published before the lock is released
   /// after every drain chunk and every add_host.
-  /// guards: hosts_/live_count_/psi_cache_/psi_batch_/tally_
+  /// guards: hosts_/live_count_/conditions_/psi_cache_/psi_batch_/tally_
   mutable std::mutex state_mutex_;
   std::vector<HostState> hosts_;  ///< indexed by slot; tombstoned when !live
   std::size_t live_count_ = 0;
+  ConditionTable conditions_;
   PsiStableCache psi_cache_;  ///< running condition -> ψ_stable
   PsiBatch psi_batch_;        ///< ψ resolution scratch
   Tally tally_;

@@ -1,10 +1,13 @@
 #include "serve/snapshot.h"
 
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ml/model_io.h"
@@ -14,241 +17,578 @@ namespace vmtherm::serve {
 
 namespace {
 
-void expect(std::istream& is, const std::string& token) {
-  std::string got;
-  if (!(is >> got) || got != token) {
-    throw IoError("fleet snapshot: expected token '" + token + "', got '" +
-                  got + "'");
-  }
-}
-
-template <typename T>
-T read_value(std::istream& is, const char* what) {
-  T v{};
-  if (!(is >> v)) {
-    throw IoError(std::string("fleet snapshot: bad ") + what);
-  }
-  return v;
-}
-
 /// Element-count fields cap out well above any real fleet so a corrupted
 /// count fails with IoError instead of driving a std::vector allocation
 /// into length_error/bad_alloc.
-std::size_t read_count_capped(std::istream& is, const char* what,
-                              std::size_t cap) {
-  const auto v = read_value<std::size_t>(is, what);
-  if (v > cap) {
-    throw IoError(std::string("fleet snapshot: implausible ") + what + " (" +
-                  std::to_string(v) + " > " + std::to_string(cap) + ")");
-  }
-  return v;
-}
-
 constexpr std::size_t kMaxVmsPerHost = 1u << 16;
 constexpr std::size_t kMaxHistogramBounds = 1u << 16;
+constexpr std::size_t kMaxConditions = 1u << 24;
 
-bool read_flag(std::istream& is, const char* what) {
-  const int v = read_value<int>(is, what);
-  if (v != 0 && v != 1) {
-    throw IoError(std::string("fleet snapshot: flag ") + what +
-                  " must be 0 or 1");
+void require_token_safe(std::string_view s, const char* what) {
+  if (s.empty() || s.find_first_of(" \t\r\n") != std::string_view::npos) {
+    throw IoError(std::string("fleet snapshot: ") + what +
+                  " must be non-empty and whitespace-free: '" +
+                  std::string(s) + "'");
   }
-  return v == 1;
 }
 
-std::string read_token(std::istream& is, const char* what) {
-  std::string v;
-  if (!(is >> v)) {
+/// Snapshot text out: tokens are formatted with std::to_chars (doubles in
+/// their shortest round-trip form) into a reused buffer that goes to the
+/// stream in large writes. A non-finite double is refused, because the
+/// reader rejects it.
+class Writer {
+ public:
+  explicit Writer(std::ostream& os) : os_(os) {
+    buffer_.reserve(kFlushBytes + 4096);
+  }
+
+  Writer& word(std::string_view token) {
+    buffer_.append(token);
+    buffer_ += ' ';
+    return *this;
+  }
+
+  Writer& number(double v) {
+    if (!std::isfinite(v)) {
+      throw IoError("fleet snapshot: cannot write a non-finite value");
+    }
+    return append_chars(v);
+  }
+
+  template <std::integral T>
+  Writer& number(T v) {
+    return append_chars(v);
+  }
+
+  Writer& flag(bool v) { return word(v ? "1" : "0"); }
+
+  /// Ends the line (every line has at least one token).
+  void end_line() {
+    buffer_.back() = '\n';
+    if (buffer_.size() >= kFlushBytes) flush();
+  }
+
+  void flush() {
+    os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kFlushBytes = 1u << 16;
+
+  template <typename T>
+  Writer& append_chars(T v) {
+    char text[32];
+    const auto result = std::to_chars(text, text + sizeof(text), v);
+    buffer_.append(text, result.ptr);
+    buffer_ += ' ';
+    return *this;
+  }
+
+  std::ostream& os_;
+  std::string buffer_;
+};
+
+/// Snapshot text in: one line at a time (std::getline into a reused
+/// buffer, so the ml/model_io readers can take the same stream between
+/// lines), split on blanks, numbers parsed with std::from_chars. A token
+/// must parse whole; doubles must be finite, as std::from_chars accepts
+/// "nan" and "inf" where the format never holds them.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is) {}
+
+  /// Moves to the next non-blank line, once the current one is used up.
+  void line(const char* what) {
+    end_of_line();
+    while (std::getline(is_, line_)) {
+      rest_ = line_;
+      skip_blanks();
+      if (!rest_.empty()) return;
+    }
+    throw IoError(std::string("fleet snapshot: unexpected end of input, "
+                              "expected ") +
+                  what);
+  }
+
+  /// Throws IoError unless the current line has no token left.
+  void end_of_line() {
+    if (!rest_.empty()) {
+      throw IoError("fleet snapshot: unexpected token '" +
+                    std::string(next_token()) + "'");
+    }
+  }
+
+  std::string_view token(const char* what) {
+    if (rest_.empty()) {
+      throw IoError(std::string("fleet snapshot: missing ") + what);
+    }
+    return next_token();
+  }
+
+  void expect(std::string_view keyword) {
+    const std::string_view got = rest_.empty() ? "" : next_token();
+    if (got != keyword) {
+      throw IoError("fleet snapshot: expected token '" +
+                    std::string(keyword) + "', got '" + std::string(got) +
+                    "'");
+    }
+  }
+
+  double real(const char* what) {
+    const double v = parse<double>(what);
+    if (!std::isfinite(v)) bad(what);
+    return v;
+  }
+
+  template <std::integral T>
+  T integer(const char* what) {
+    return parse<T>(what);
+  }
+
+  bool flag(const char* what) {
+    const int v = parse<int>(what);
+    if (v != 0 && v != 1) {
+      throw IoError(std::string("fleet snapshot: flag ") + what +
+                    " must be 0 or 1");
+    }
+    return v == 1;
+  }
+
+  std::size_t count(const char* what, std::size_t cap) {
+    const auto v = parse<std::size_t>(what);
+    if (v > cap) {
+      throw IoError(std::string("fleet snapshot: implausible ") + what +
+                    " (" + std::to_string(v) + " > " + std::to_string(cap) +
+                    ")");
+    }
+    return v;
+  }
+
+ private:
+  [[noreturn]] static void bad(const char* what) {
     throw IoError(std::string("fleet snapshot: bad ") + what);
   }
-  return v;
-}
 
-void require_token_safe(const std::string& s, const char* what) {
-  if (s.empty() || s.find_first_of(" \t\r\n") != std::string::npos) {
-    throw IoError(std::string("fleet snapshot: ") + what +
-                  " must be non-empty and whitespace-free: '" + s + "'");
+  template <typename T>
+  T parse(const char* what) {
+    const std::string_view text = token(what);
+    T v{};
+    const auto result = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
+      bad(what);
+    }
+    return v;
   }
-}
 
-void save_host(std::ostream& os, const HostSnapshot& host) {
-  os << "host " << host.host_id << " fans " << host.config.fans << " env "
-     << host.config.env_temp_c << " vms " << host.config.vms.size() << "\n";
-  for (const sim::VmConfig& vm : host.config.vms) {
-    os << "vm " << sim::task_type_name(vm.task) << " " << vm.vcpus << " "
-       << vm.memory_gb << "\n";
+  static bool blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+  void skip_blanks() {
+    std::size_t i = 0;
+    while (i < rest_.size() && blank(rest_[i])) ++i;
+    rest_.remove_prefix(i);
   }
-  const sim::ServerSpec& s = host.config.server;
+
+  /// The next token of a line that has one.
+  std::string_view next_token() {
+    std::size_t end = 0;
+    while (end < rest_.size() && !blank(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    skip_blanks();
+    return token;
+  }
+
+  std::istream& is_;
+  std::string line_;
+  std::string_view rest_;  ///< unread part of line_, blanks skipped
+};
+
+// --- per-host fields, shared by every version --------------------------
+
+void write_server(Writer& out, const sim::ServerSpec& s) {
   require_token_safe(s.name, "server name");
-  os << "server " << s.name << " " << s.physical_cores << " " << s.core_ghz
-     << " " << s.memory_gb << " " << s.fan_slots << " " << s.power.idle_watts
-     << " " << s.power.max_cpu_watts << " " << s.power.cpu_exponent << " "
-     << s.power.memory_watts_per_gb << " "
-     << s.thermal.die_capacitance_j_per_k << " "
-     << s.thermal.sink_capacitance_j_per_k << " "
-     << s.thermal.die_to_sink_resistance << " "
-     << s.thermal.sink_to_ambient_resistance << " "
-     << s.thermal.reference_fans << " " << s.thermal.fan_exponent << "\n";
-  const core::DynamicPredictorState& t = host.tracker;
-  os << "tracker " << (t.started ? 1 : 0) << " " << t.t0 << " " << t.gamma
-     << " " << t.last_update_s << " " << t.last_observed_s << " " << t.phi0
-     << " " << t.psi_stable << "\n";
-  const core::ResidualMonitor& r = host.residuals;
-  os << "residuals " << r.positive << " " << r.negative << " "
-     << (r.drifted ? 1 : 0) << " " << r.count;
-  for (const core::StageSums* stage : {&r.transient, &r.stable}) {
-    os << " " << stage->weight << " " << stage->sum << " " << stage->sum_sq
-       << " " << stage->sum_abs;
-  }
-  os << "\n";
+  out.word(s.name)
+      .number(s.physical_cores)
+      .number(s.core_ghz)
+      .number(s.memory_gb)
+      .number(s.fan_slots)
+      .number(s.power.idle_watts)
+      .number(s.power.max_cpu_watts)
+      .number(s.power.cpu_exponent)
+      .number(s.power.memory_watts_per_gb)
+      .number(s.thermal.die_capacitance_j_per_k)
+      .number(s.thermal.sink_capacitance_j_per_k)
+      .number(s.thermal.die_to_sink_resistance)
+      .number(s.thermal.sink_to_ambient_resistance)
+      .number(s.thermal.reference_fans)
+      .number(s.thermal.fan_exponent);
 }
 
-/// `version` is 1, 2 or 3. A v1 host carries a `resid` line, which is
-/// parsed and discarded; v1 and v2 hosts carry a `cusum` line and no stage
-/// sums, which start empty.
-HostSnapshot load_host(std::istream& is, int version) {
+void read_server(Reader& in, sim::ServerSpec& s) {
+  s.name = in.token("server name");
+  s.physical_cores = in.integer<int>("physical cores");
+  s.core_ghz = in.real("core ghz");
+  s.memory_gb = in.real("server memory");
+  s.fan_slots = in.integer<int>("fan slots");
+  s.power.idle_watts = in.real("idle watts");
+  s.power.max_cpu_watts = in.real("max cpu watts");
+  s.power.cpu_exponent = in.real("cpu exponent");
+  s.power.memory_watts_per_gb = in.real("memory watts");
+  s.thermal.die_capacitance_j_per_k = in.real("C_die");
+  s.thermal.sink_capacitance_j_per_k = in.real("C_sink");
+  s.thermal.die_to_sink_resistance = in.real("R_ds");
+  s.thermal.sink_to_ambient_resistance = in.real("R_sa");
+  s.thermal.reference_fans = in.integer<int>("reference fans");
+  s.thermal.fan_exponent = in.real("fan exponent");
+}
+
+sim::VmConfig read_vm(Reader& in) {
+  sim::VmConfig vm;
+  vm.task = sim::task_type_from_name(std::string(in.token("vm task")));
+  vm.vcpus = in.integer<int>("vm vcpus");
+  vm.memory_gb = in.real("vm memory");
+  return vm;
+}
+
+void read_tracker(Reader& in, core::DynamicPredictorState& t) {
+  t.started = in.flag("tracker started");
+  t.t0 = in.real("tracker t0");
+  t.gamma = in.real("tracker gamma");
+  t.last_update_s = in.real("tracker last update");
+  t.last_observed_s = in.real("tracker last observed");
+  t.phi0 = in.real("tracker phi0");
+  t.psi_stable = in.real("tracker psi_stable");
+}
+
+/// The CUSUM state; the stage sums follow it from v3 on.
+void read_cusum(Reader& in, core::ResidualMonitor& r) {
+  r.positive = in.real("cusum positive");
+  r.negative = in.real("cusum negative");
+  r.drifted = in.flag("cusum drifted");
+  r.count = in.integer<std::uint64_t>("cusum count");
+}
+
+void read_stage_sums(Reader& in, core::ResidualMonitor& r) {
+  for (core::StageSums* stage : {&r.transient, &r.stable}) {
+    stage->weight = in.real("stage weight");
+    stage->sum = in.real("stage sum");
+    stage->sum_sq = in.real("stage sum of squares");
+    stage->sum_abs = in.real("stage absolute sum");
+  }
+}
+
+/// The loader rejects non-finite tracker fields and residual states that
+/// observe() cannot produce. Readings far outside any physical range can
+/// drive a host there (γ overflows to ±inf, then NaN), and one such host
+/// would make the whole snapshot unrestorable, so it is refused here.
+void check_restorable(const HostSnapshot& host) {
+  const core::DynamicPredictorState& t = host.tracker;
+  for (const double v : {t.t0, t.gamma, t.last_update_s, t.last_observed_s,
+                         t.phi0, t.psi_stable}) {
+    if (!std::isfinite(v)) {
+      throw IoError("fleet snapshot: host " + host.host_id +
+                    " has a non-finite tracker state and cannot be restored");
+    }
+  }
+  try {
+    host.residuals.validate();
+  } catch (const ConfigError& e) {
+    throw IoError("fleet snapshot: host " + host.host_id +
+                  " cannot be restored: " + e.what());
+  }
+}
+
+// --- v4: condition table + one row per host ----------------------------
+
+void write_condition(Writer& out, const mgmt::MonitoredConfig& config) {
+  write_server(out, config.server);
+  out.number(config.fans).number(config.env_temp_c).number(config.vms.size());
+  for (const sim::VmConfig& vm : config.vms) {
+    out.word(sim::task_type_name(vm.task)).number(vm.vcpus).number(
+        vm.memory_gb);
+  }
+  out.end_line();
+}
+
+mgmt::MonitoredConfig read_condition(Reader& in) {
+  mgmt::MonitoredConfig config;
+  read_server(in, config.server);
+  config.fans = in.integer<int>("fan count");
+  config.env_temp_c = in.real("env temperature");
+  const std::size_t vm_count = in.count("vm count", kMaxVmsPerHost);
+  config.vms.reserve(vm_count);
+  for (std::size_t i = 0; i < vm_count; ++i) config.vms.push_back(read_vm(in));
+  config.validate();
+  return config;
+}
+
+void write_host(Writer& out, const HostSnapshot& host, std::uint32_t condition) {
+  check_restorable(host);
+  const core::DynamicPredictorState& t = host.tracker;
+  const core::ResidualMonitor& r = host.residuals;
+  out.word(host.host_id)
+      .number(condition)
+      .flag(t.started)
+      .number(t.t0)
+      .number(t.gamma)
+      .number(t.last_update_s)
+      .number(t.last_observed_s)
+      .number(t.phi0)
+      .number(t.psi_stable)
+      .number(r.positive)
+      .number(r.negative)
+      .flag(r.drifted)
+      .number(r.count);
+  for (const core::StageSums* stage : {&r.transient, &r.stable}) {
+    out.number(stage->weight)
+        .number(stage->sum)
+        .number(stage->sum_sq)
+        .number(stage->sum_abs);
+  }
+  out.end_line();
+}
+
+/// Writes the condition table and the host rows. Conditions are numbered
+/// in first use along the host-id order, so the file is the same at any
+/// shard count; configs of different shards or config events compare
+/// bitwise (mgmt::same_condition).
+void write_hosts(Writer& out, const FleetEngine& engine) {
+  const std::vector<std::vector<HostSnapshot>> per_shard =
+      engine.export_shards();
+  const std::vector<const HostSnapshot*> hosts = by_host_id(per_shard);
+  std::vector<const mgmt::MonitoredConfig*> conditions;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  std::vector<std::uint32_t> condition_of;
+  condition_of.reserve(hosts.size());
+  for (const HostSnapshot* host : hosts) {
+    const mgmt::MonitoredConfig& config = *host->config;
+    const std::uint64_t hash = mgmt::condition_hash(config);
+    auto [it, last] = by_hash.equal_range(hash);
+    while (it != last && !mgmt::same_condition(*conditions[it->second], config)) {
+      ++it;
+    }
+    if (it == last) {
+      it = by_hash.emplace(hash, static_cast<std::uint32_t>(conditions.size()));
+      conditions.push_back(&config);
+    }
+    condition_of.push_back(it->second);
+  }
+  out.word("conditions").number(conditions.size()).end_line();
+  for (const mgmt::MonitoredConfig* config : conditions) {
+    write_condition(out, *config);
+  }
+  out.word("hosts").number(hosts.size()).end_line();
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    write_host(out, *hosts[i], condition_of[i]);
+  }
+}
+
+/// Reads the v4 condition table and host rows into `engine`.
+void read_hosts(Reader& in, FleetEngine& engine) {
+  in.line("condition table");
+  in.expect("conditions");
+  const std::size_t condition_count =
+      in.count("condition count", kMaxConditions);
+  std::vector<std::shared_ptr<const mgmt::MonitoredConfig>> conditions;
+  conditions.reserve(condition_count);
+  for (std::size_t i = 0; i < condition_count; ++i) {
+    in.line("condition");
+    conditions.push_back(
+        std::make_shared<const mgmt::MonitoredConfig>(read_condition(in)));
+  }
+  in.line("host count");
+  in.expect("hosts");
+  const auto host_count = in.integer<std::size_t>("host count");
   HostSnapshot host;
-  expect(is, "host");
-  host.host_id = read_token(is, "host id");
-  expect(is, "fans");
-  host.config.fans = read_value<int>(is, "fan count");
-  expect(is, "env");
-  host.config.env_temp_c = read_value<double>(is, "env temperature");
-  expect(is, "vms");
-  const auto vm_count = read_count_capped(is, "vm count", kMaxVmsPerHost);
-  host.config.vms.reserve(vm_count);
-  for (std::size_t i = 0; i < vm_count; ++i) {
-    expect(is, "vm");
-    sim::VmConfig vm;
-    vm.task = sim::task_type_from_name(read_token(is, "vm task"));
-    vm.vcpus = read_value<int>(is, "vm vcpus");
-    vm.memory_gb = read_value<double>(is, "vm memory");
-    host.config.vms.push_back(vm);
+  for (std::size_t i = 0; i < host_count; ++i) {
+    in.line("host row");
+    host.host_id = in.token("host id");
+    const auto condition = in.integer<std::size_t>("condition index");
+    if (condition >= conditions.size()) {
+      throw IoError("fleet snapshot: host " + host.host_id +
+                    " names condition " + std::to_string(condition) +
+                    " of " + std::to_string(conditions.size()));
+    }
+    host.config = conditions[condition];
+    read_tracker(in, host.tracker);
+    read_cusum(in, host.residuals);
+    read_stage_sums(in, host.residuals);
+    engine.import_host(host);
   }
-  expect(is, "server");
-  sim::ServerSpec& s = host.config.server;
-  s.name = read_token(is, "server name");
-  s.physical_cores = read_value<int>(is, "physical cores");
-  s.core_ghz = read_value<double>(is, "core ghz");
-  s.memory_gb = read_value<double>(is, "server memory");
-  s.fan_slots = read_value<int>(is, "fan slots");
-  s.power.idle_watts = read_value<double>(is, "idle watts");
-  s.power.max_cpu_watts = read_value<double>(is, "max cpu watts");
-  s.power.cpu_exponent = read_value<double>(is, "cpu exponent");
-  s.power.memory_watts_per_gb = read_value<double>(is, "memory watts");
-  s.thermal.die_capacitance_j_per_k = read_value<double>(is, "C_die");
-  s.thermal.sink_capacitance_j_per_k = read_value<double>(is, "C_sink");
-  s.thermal.die_to_sink_resistance = read_value<double>(is, "R_ds");
-  s.thermal.sink_to_ambient_resistance = read_value<double>(is, "R_sa");
-  s.thermal.reference_fans = read_value<int>(is, "reference fans");
-  s.thermal.fan_exponent = read_value<double>(is, "fan exponent");
-  expect(is, "tracker");
-  host.tracker.started = read_flag(is, "tracker started");
-  host.tracker.t0 = read_value<double>(is, "tracker t0");
-  host.tracker.gamma = read_value<double>(is, "tracker gamma");
-  host.tracker.last_update_s = read_value<double>(is, "tracker last update");
-  host.tracker.last_observed_s =
-      read_value<double>(is, "tracker last observed");
-  host.tracker.phi0 = read_value<double>(is, "tracker phi0");
-  host.tracker.psi_stable = read_value<double>(is, "tracker psi_stable");
-  if (version == 1) {
-    expect(is, "resid");
-    for (const char* what : {"residual count", "residual mean", "residual m2",
-                             "residual min", "residual max"}) {
-      (void)read_value<double>(is, what);
+}
+
+// --- v1 to v3: one block of lines per host, config inline ---------------
+
+/// A v1 host carries a `resid` line, which is parsed and discarded; v1 and
+/// v2 hosts carry a `cusum` line and no stage sums, which start empty.
+void read_legacy_hosts(Reader& in, FleetEngine& engine, int version) {
+  in.line("host count");
+  in.expect("hosts");
+  const auto host_count = in.integer<std::size_t>("host count");
+  for (std::size_t i = 0; i < host_count; ++i) {
+    HostSnapshot host;
+    mgmt::MonitoredConfig config;
+    in.line("host");
+    in.expect("host");
+    host.host_id = in.token("host id");
+    in.expect("fans");
+    config.fans = in.integer<int>("fan count");
+    in.expect("env");
+    config.env_temp_c = in.real("env temperature");
+    in.expect("vms");
+    const std::size_t vm_count = in.count("vm count", kMaxVmsPerHost);
+    config.vms.reserve(vm_count);
+    for (std::size_t v = 0; v < vm_count; ++v) {
+      in.line("vm");
+      in.expect("vm");
+      config.vms.push_back(read_vm(in));
+    }
+    in.line("server");
+    in.expect("server");
+    read_server(in, config.server);
+    host.config = std::make_shared<const mgmt::MonitoredConfig>(
+        std::move(config));
+    in.line("tracker");
+    in.expect("tracker");
+    read_tracker(in, host.tracker);
+    if (version == 1) {
+      in.line("resid");
+      in.expect("resid");
+      for (const char* what : {"residual count", "residual mean",
+                               "residual m2", "residual min",
+                               "residual max"}) {
+        (void)in.real(what);
+      }
+    }
+    in.line("residuals");
+    in.expect(version < 3 ? "cusum" : "residuals");
+    read_cusum(in, host.residuals);
+    if (version == 3) read_stage_sums(in, host.residuals);
+    engine.import_host(host);
+  }
+}
+
+void write_metrics(Writer& out, const obs::MetricsRegistry& registry) {
+  // Deterministic counters and histograms only: timing metrics are
+  // wall-clock artifacts of the saved process, and gauges (fleet size)
+  // re-derive from the imported hosts.
+  std::size_t metric_count = 0;
+  const auto deterministic = [](obs::MetricKind kind) {
+    return kind == obs::MetricKind::kDeterministic;
+  };
+  registry.for_each_counter([&](const std::string&, obs::MetricKind kind,
+                                const obs::Counter&) {
+    metric_count += deterministic(kind) ? 1 : 0;
+  });
+  registry.for_each_histogram([&](const std::string&, obs::MetricKind kind,
+                                  const obs::Histogram&) {
+    metric_count += deterministic(kind) ? 1 : 0;
+  });
+  out.word("metrics").number(metric_count).end_line();
+  registry.for_each_counter([&](const std::string& name, obs::MetricKind kind,
+                                const obs::Counter& counter) {
+    if (!deterministic(kind)) return;
+    require_token_safe(name, "metric name");
+    out.word("counter").word(name).number(counter.value()).end_line();
+  });
+  registry.for_each_histogram([&](const std::string& name,
+                                  obs::MetricKind kind,
+                                  const obs::Histogram& hist) {
+    if (!deterministic(kind)) return;
+    require_token_safe(name, "metric name");
+    out.word("hist").word(name).number(hist.upper_bounds().size());
+    for (const double bound : hist.upper_bounds()) out.number(bound);
+    for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
+      out.number(hist.count_in_bucket(i));
+    }
+    out.end_line();
+  });
+}
+
+void read_metrics(Reader& in, obs::MetricsRegistry& registry) {
+  in.line("metrics");
+  in.expect("metrics");
+  const auto metric_count = in.integer<std::size_t>("metric count");
+  for (std::size_t i = 0; i < metric_count; ++i) {
+    in.line("metric");
+    const std::string_view family = in.token("metric family");
+    if (family == "counter") {
+      const std::string name(in.token("counter name"));
+      registry.counter(name).set(in.integer<std::uint64_t>("counter value"));
+    } else if (family == "hist") {
+      const std::string name(in.token("histogram name"));
+      const std::size_t n_bounds =
+          in.count("histogram bounds", kMaxHistogramBounds);
+      std::vector<double> bounds(n_bounds);
+      for (double& bound : bounds) bound = in.real("histogram bound");
+      std::vector<std::uint64_t> counts(n_bounds + 1);
+      for (std::uint64_t& count : counts) {
+        count = in.integer<std::uint64_t>("histogram count");
+      }
+      registry.histogram(name, std::move(bounds)).set_counts(counts);
+    } else {
+      throw IoError("fleet snapshot: unknown metric family '" +
+                    std::string(family) + "'");
     }
   }
-  core::ResidualMonitor& r = host.residuals;
-  expect(is, version < 3 ? "cusum" : "residuals");
-  r.positive = read_value<double>(is, "cusum positive");
-  r.negative = read_value<double>(is, "cusum negative");
-  r.drifted = read_flag(is, "cusum drifted");
-  r.count = read_value<std::uint64_t>(is, "cusum count");
-  if (version == 3) {
-    for (core::StageSums* stage : {&r.transient, &r.stable}) {
-      stage->weight = read_value<double>(is, "stage weight");
-      stage->sum = read_value<double>(is, "stage sum");
-      stage->sum_sq = read_value<double>(is, "stage sum of squares");
-      stage->sum_abs = read_value<double>(is, "stage absolute sum");
-    }
-  }
-  return host;
 }
 
 }  // namespace
 
 void save_fleet(std::ostream& os, FleetEngine& engine) {
   engine.flush();
-  os << std::setprecision(17);
-  os << "vmtherm_fleet v3\n";
+  Writer out(os);
+  out.word("vmtherm_fleet").word("v4").end_line();
   const FleetEngineOptions& opt = engine.options();
-  os << "dynamic " << opt.dynamic.learning_rate << " "
-     << opt.dynamic.update_interval_s << " " << opt.dynamic.t_break_s << " "
-     << opt.dynamic.curvature << " " << (opt.dynamic.calibration_enabled ? 1 : 0)
-     << " " << (opt.dynamic.retain_calibration_on_retarget ? 1 : 0) << "\n";
-  os << "drift " << opt.drift_slack_c << " " << opt.drift_threshold_c << "\n";
+  out.word("dynamic")
+      .number(opt.dynamic.learning_rate)
+      .number(opt.dynamic.update_interval_s)
+      .number(opt.dynamic.t_break_s)
+      .number(opt.dynamic.curvature)
+      .flag(opt.dynamic.calibration_enabled)
+      .flag(opt.dynamic.retain_calibration_on_retarget)
+      .end_line();
+  out.word("drift")
+      .number(opt.drift_slack_c)
+      .number(opt.drift_threshold_c)
+      .end_line();
+  out.flush();
   ml::save_scaler(os, engine.stable_predictor().scaler());
   ml::save_svr(os, engine.stable_predictor().model());
-  os << std::setprecision(17);
-
-  const std::vector<HostSnapshot> hosts = engine.export_hosts();
-  os << "hosts " << hosts.size() << "\n";
-  for (const HostSnapshot& host : hosts) save_host(os, host);
-
-  // Deterministic counters and histograms only: timing metrics are
-  // wall-clock artifacts of the saved process, and gauges (fleet size)
-  // re-derive from the imported hosts.
-  std::size_t metric_count = 0;
-  std::ostringstream metrics;
-  metrics << std::setprecision(17);
-  engine.metrics().for_each_counter(
-      [&](const std::string& name, obs::MetricKind kind,
-          const obs::Counter& counter) {
-        if (kind != obs::MetricKind::kDeterministic) return;
-        require_token_safe(name, "metric name");
-        metrics << "counter " << name << " " << counter.value() << "\n";
-        ++metric_count;
-      });
-  engine.metrics().for_each_histogram(
-      [&](const std::string& name, obs::MetricKind kind,
-          const obs::Histogram& hist) {
-        if (kind != obs::MetricKind::kDeterministic) return;
-        require_token_safe(name, "metric name");
-        metrics << "hist " << name << " " << hist.upper_bounds().size();
-        for (const double bound : hist.upper_bounds()) {
-          metrics << " " << bound;
-        }
-        for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
-          metrics << " " << hist.count_in_bucket(i);
-        }
-        metrics << "\n";
-        ++metric_count;
-      });
-  os << "metrics " << metric_count << "\n" << metrics.str();
-  os << "end\n";
+  write_hosts(out, engine);
+  write_metrics(out, engine.metrics());
+  out.word("end").end_line();
+  out.flush();
   if (!os) throw IoError("fleet snapshot: write failed");
 }
 
 std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
                                         FleetEngineOptions options) {
-  expect(is, "vmtherm_fleet");
-  const std::string token = read_token(is, "format version");
-  const int version = token.size() == 2 && token[0] == 'v' ? token[1] - '0' : 0;
-  if (version < 1 || version > 3) {
-    throw IoError("fleet snapshot: unsupported version '" + token + "'");
+  Reader in(is);
+  in.line("format header");
+  in.expect("vmtherm_fleet");
+  const std::string_view token = in.token("format version");
+  const int version =
+      token.size() == 2 && token[0] == 'v' ? token[1] - '0' : 0;
+  if (version < 1 || version > 4) {
+    throw IoError("fleet snapshot: unsupported version '" +
+                  std::string(token) + "'");
   }
-  expect(is, "dynamic");
-  options.dynamic.learning_rate = read_value<double>(is, "learning rate");
-  options.dynamic.update_interval_s =
-      read_value<double>(is, "update interval");
-  options.dynamic.t_break_s = read_value<double>(is, "t_break");
-  options.dynamic.curvature = read_value<double>(is, "curvature");
-  options.dynamic.calibration_enabled = read_flag(is, "calibration flag");
+  in.line("dynamic options");
+  in.expect("dynamic");
+  options.dynamic.learning_rate = in.real("learning rate");
+  options.dynamic.update_interval_s = in.real("update interval");
+  options.dynamic.t_break_s = in.real("t_break");
+  options.dynamic.curvature = in.real("curvature");
+  options.dynamic.calibration_enabled = in.flag("calibration flag");
   options.dynamic.retain_calibration_on_retarget =
-      read_flag(is, "retain-calibration flag");
-  expect(is, "drift");
-  options.drift_slack_c = read_value<double>(is, "drift slack");
-  options.drift_threshold_c = read_value<double>(is, "drift threshold");
+      in.flag("retain-calibration flag");
+  in.line("drift options");
+  in.expect("drift");
+  options.drift_slack_c = in.real("drift slack");
+  options.drift_threshold_c = in.real("drift threshold");
+  in.end_of_line();
 
   ml::MinMaxScaler scaler = ml::load_scaler(is);
   ml::SvrModel model = ml::load_svr(is);
@@ -256,47 +596,22 @@ std::unique_ptr<FleetEngine> load_fleet(std::istream& is,
       core::StableTemperaturePredictor(std::move(scaler), std::move(model)),
       options);
 
-  expect(is, "hosts");
-  const auto host_count = read_value<std::size_t>(is, "host count");
-  for (std::size_t i = 0; i < host_count; ++i) {
-    // import_host rejects invalid configs and residual states.
-    try {
-      engine->import_host(load_host(is, version));
-    } catch (const ConfigError& e) {
-      throw IoError(std::string("fleet snapshot: ") + e.what());
-    }
-  }
-
-  expect(is, "metrics");
-  const auto metric_count = read_value<std::size_t>(is, "metric count");
-  for (std::size_t i = 0; i < metric_count; ++i) {
-    const std::string family = read_token(is, "metric family");
-    if (family == "counter") {
-      const std::string name = read_token(is, "counter name");
-      engine->metrics().counter(name).set(
-          read_value<std::uint64_t>(is, "counter value"));
-    } else if (family == "hist") {
-      const std::string name = read_token(is, "histogram name");
-      const auto n_bounds =
-          read_count_capped(is, "histogram bounds", kMaxHistogramBounds);
-      std::vector<double> bounds(n_bounds);
-      for (double& bound : bounds) {
-        bound = read_value<double>(is, "histogram bound");
-      }
-      std::vector<std::uint64_t> counts(n_bounds + 1);
-      for (std::uint64_t& count : counts) {
-        count = read_value<std::uint64_t>(is, "histogram count");
-      }
-      try {
-        engine->metrics().histogram(name, std::move(bounds)).set_counts(counts);
-      } catch (const ConfigError& e) {
-        throw IoError(std::string("fleet snapshot: ") + e.what());
-      }
+  // Conditions, import_host and the metrics registry reject invalid
+  // configs, residual states, duplicate ids and histogram layouts with
+  // ConfigError.
+  try {
+    if (version == 4) {
+      read_hosts(in, *engine);
     } else {
-      throw IoError("fleet snapshot: unknown metric family '" + family + "'");
+      read_legacy_hosts(in, *engine, version);
     }
+    read_metrics(in, engine->metrics());
+  } catch (const ConfigError& e) {
+    throw IoError(std::string("fleet snapshot: ") + e.what());
   }
-  expect(is, "end");
+  in.line("end marker");
+  in.expect("end");
+  in.end_of_line();
   return engine;
 }
 

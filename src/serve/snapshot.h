@@ -1,42 +1,61 @@
 // vmtherm/serve/snapshot.h
 //
 // Versioned text snapshot of a FleetEngine: the trained stable model
-// (embedded ml/model_io sections), the dynamic/drift configuration, every
-// live host's exact tracker and residual monitor, and the deterministic
-// metric counters. Doubles are written with 17 significant digits, so a
-// save → load → save round-trip is byte-identical and a restored engine
-// continues bitwise-exactly where the saved one stopped.
+// (embedded ml/model_io sections), the dynamic/drift configuration, the
+// fleet's distinct running conditions, every live host's exact tracker and
+// residual monitor, and the deterministic metric counters. Numbers are
+// written by std::to_chars (doubles in their shortest round-trip form) and
+// read by std::from_chars, so a save → load → save round-trip is
+// byte-identical and a restored engine continues bitwise-exactly where the
+// saved one stopped. The file is the same at any shard count.
 //
-// Format ("vmtherm_fleet v3"):
-//   vmtherm_fleet v3
+// Format ("vmtherm_fleet v4"), one record per line:
+//   vmtherm_fleet v4
 //   dynamic <lr> <update_s> <t_break_s> <curvature> <calib> <retain>
 //   drift <slack_c> <threshold_c>
 //   <ml::save_scaler section>
 //   <ml::save_svr section>
+//   conditions <m>
+//     <server> <fans> <env> <k> (<task> <vcpus> <memory_gb>) x k     (x m)
 //   hosts <n>
-//     host <id> fans <f> env <e> vms <k>
-//     vm <task> <vcpus> <memory_gb>                       (x k)
-//     server <name> <cores> <ghz> <mem_gb> <fan_slots>
-//            <idle_w> <max_cpu_w> <cpu_exp> <mem_w_per_gb>
-//            <c_die> <c_sink> <r_ds> <r_sa> <ref_fans> <fan_exp>
-//     tracker <started> <t0> <gamma> <last_upd> <last_obs> <phi0> <psi>
-//     residuals <pos> <neg> <drifted> <count>
-//               <w> <sum> <sum_sq> <sum_abs>                (transient)
-//               <w> <sum> <sum_sq> <sum_abs>                (stable)
+//     <id> <condition> <tracker> <residuals>                        (x n)
 //   metrics <n>
 //     counter <name> <value>
 //     hist <name> <n_bounds> <bounds...> <counts...>      (counts: n_bounds+1)
 //   end
 //
-// The residuals line is core::ResidualMonitor: CUSUM state, then the
-// decayed residual sums of the transient and the stable stage. The loader
-// rejects negative CUSUM sums, weights, square or absolute sums and
-// non-finite values.
+// where
+//   <server>    = <name> <cores> <ghz> <mem_gb> <fan_slots>
+//                 <idle_w> <max_cpu_w> <cpu_exp> <mem_w_per_gb>
+//                 <c_die> <c_sink> <r_ds> <r_sa> <ref_fans> <fan_exp>
+//   <tracker>   = <started> <t0> <gamma> <last_upd> <last_obs> <phi0> <psi>
+//   <residuals> = <pos> <neg> <drifted> <count>
+//                 <w> <sum> <sum_sq> <sum_abs>                  (transient)
+//                 <w> <sum> <sum_sq> <sum_abs>                  (stable)
 //
-// Older files still load. v2 carries `cusum <pos> <neg> <drifted>
-// <count>` in place of the residuals line; its stage sums start empty. v1,
-// written before v2 dropped the lifetime residual statistic, is v2 with
-// one more host line after `tracker`,
+// Conditions are the hosts' configs, bitwise-distinct and numbered in
+// first use along the hosts' id order; a host row names its condition by
+// that number. The residuals are core::ResidualMonitor: CUSUM state, then
+// the decayed residual sums of the transient and the stable stage.
+//
+// Every double must be finite. The writer refuses a host the loader would
+// reject (a non-finite tracker field, or a residual state observe() cannot
+// produce) with IoError naming the host; the loader rejects those, negative
+// CUSUM sums, weights, square or absolute sums, a condition number out of
+// range and an implausible count.
+//
+// Saving always writes v4. v1 to v3 files still load; they carry each
+// host's config inline, one block of lines per host:
+//   hosts <n>
+//     host <id> fans <f> env <e> vms <k>
+//     vm <task> <vcpus> <memory_gb>                       (x k)
+//     server <server>
+//     tracker <tracker>
+//     residuals <residuals>                               (v3)
+// v2 carries `cusum <pos> <neg> <drifted> <count>` in place of the
+// residuals line; its stage sums start empty. v1, written before v2
+// dropped the lifetime residual statistic, is v2 with one more host line
+// after `tracker`,
 //     resid <n> <mean> <m2> <min> <max>
 // which the loader reads and discards.
 //

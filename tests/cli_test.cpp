@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -378,6 +379,36 @@ TEST(RunCliTest, ServeStatsAndTraceAgreeOnTheReplayDigest) {
   std::filesystem::remove(records);
   std::filesystem::remove(model);
   std::filesystem::remove(trace_file);
+}
+
+TEST(RunCliTest, ServeStatsDefaultReplayFeedsTheStableStage) {
+  // The default replay runs past t_break (600 s), so some host's ψ_stable
+  // stage holds more than the one observation at t_break.
+  const std::string records = temp_path("vmtherm_cli_test_records6.csv");
+  const std::string model = temp_path("vmtherm_cli_test_model6.txt");
+  ASSERT_EQ(run({"simulate", "--count", "25", "--seed", "9", "--out", records,
+                 "--duration", "1200"})
+                .code,
+            0);
+  ASSERT_EQ(run({"train", "--data", records, "--model", model, "--fast"}).code,
+            0);
+  const auto json = run({"serve-stats", "--model", model, "--json"});
+  ASSERT_EQ(json.code, 0) << json.err;
+  const std::string key = "\"stable_weight\":";
+  const std::size_t hosts = json.out.find("\"hosts\":[");
+  ASSERT_NE(hosts, std::string::npos);
+  double most = 0.0;
+  for (std::size_t pos = json.out.find(key, hosts); pos != std::string::npos;
+       pos = json.out.find(key, pos + 1)) {
+    most = std::max(most, std::stod(json.out.substr(pos + key.size())));
+  }
+  EXPECT_GT(most, 1.0);
+  const auto stats = run({"serve-stats", "--model", model});
+  ASSERT_EQ(stats.code, 0) << stats.err;
+  EXPECT_NE(kv_value(stats.out, "fleet stable bias"), "0.0000");
+
+  std::filesystem::remove(records);
+  std::filesystem::remove(model);
 }
 
 TEST(RunCliTest, ServeStatsRejectsBadWindow) {

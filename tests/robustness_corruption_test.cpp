@@ -1,4 +1,4 @@
-// Malformed-input robustness: table-driven corruption of `vmtherm_fleet v3`
+// Malformed-input robustness: table-driven corruption of `vmtherm_fleet v4`
 // snapshots and ml/model_io files (truncation, field swaps, NaN injection,
 // implausible counts, garbage tokens). Every corrupted input must fail with
 // a clean vmtherm::Error (IoError/ConfigError/DataError) — never UB, a
@@ -116,7 +116,7 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
   const std::vector<Corruption> corruptions = {
       {"bad-magic",
        [](const std::string& s) {
-         return replace_first(s, "vmtherm_fleet v3", "vmtherm_fleet v9");
+         return replace_first(s, "vmtherm_fleet v4", "vmtherm_fleet v9");
        }},
       {"truncated-quarter",
        [](const std::string& s) { return s.substr(0, s.size() / 4); }},
@@ -136,21 +136,36 @@ TEST(SnapshotCorruptionTest, CorruptedSnapshotsFailCleanly) {
        [](const std::string& s) {
          return replace_first(s, "dynamic 0.", "dynamic nan0.");
        }},
+      // A host row is `<id> <condition> <started> <t0> ...`.
       {"nan-injected-tracker",
        [](const std::string& s) {
-         return replace_first(s, "tracker 1 ", "tracker 1 nan ");
+         return replace_first(s, "\nhost-0 0 1 ", "\nhost-0 0 1 nan ");
        }},
       {"flag-out-of-range",
        [](const std::string& s) {
-         return replace_first(s, "tracker 1 ", "tracker 7 ");
+         return replace_first(s, "\nhost-0 0 1 ", "\nhost-0 0 7 ");
+       }},
+      {"condition-index-out-of-range",
+       [](const std::string& s) {
+         return replace_first(s, "\nhost-0 0 1 ", "\nhost-0 3 1 ");
+       }},
+      {"nan-injected-condition",
+       [](const std::string& s) {
+         return replace_first(s, "\nmedium-2u 16 2.4 ", "\nmedium-2u 16 nan ");
        }},
       {"garbage-host-count",
        [](const std::string& s) {
          return replace_first(s, "hosts 3", "hosts banana");
        }},
+      // A condition line ends `<fans> <env> <vm count> <vms...>`.
       {"implausible-vm-count",
        [](const std::string& s) {
-         return replace_first(s, "vms 1", "vms 18446744073709551615");
+         return replace_first(s, " 4 23 1 cpu_burn ",
+                              " 4 23 18446744073709551615 cpu_burn ");
+       }},
+      {"implausible-condition-count",
+       [](const std::string& s) {
+         return replace_first(s, "conditions 3", "conditions 99999999999");
        }},
       {"implausible-histogram-bounds",
        [](const std::string& s) {

@@ -627,6 +627,163 @@ TEST(FleetEngineTest, NonFiniteReadingIsRejectedBeforeHostState) {
   }
 }
 
+// --- running conditions are interned per shard ---------------------------
+
+/// A bare Shard with its own metric registry, driven the way FleetEngine
+/// drives it (slots instead of handles).
+struct ShardHarness {
+  obs::MetricsRegistry registry;
+  FleetEngineOptions options = manual_options(1);
+  std::unique_ptr<Shard> shard;
+
+  ShardHarness() {
+    ShardMetrics m;
+    m.ingested = &registry.counter("ingest.events");
+    m.dropped = &registry.counter("ingest.dropped");
+    m.observe_applied = &registry.counter("apply.observe");
+    m.config_applied = &registry.counter("apply.config_update");
+    m.apply_errors = &registry.counter("apply.errors");
+    m.drift_signals = &registry.counter("drift.signals");
+    m.queue_high_water = &registry.gauge("queue.high_water");
+    m.psi_cache_hits = &registry.counter("psi_cache.hits");
+    m.psi_cache_misses = &registry.counter("psi_cache.misses");
+    m.calibration_abs_error_c =
+        &registry.histogram("calibration.abs_error_c", {1.0, 2.0});
+    m.drain_batch_us = &registry.histogram("latency.drain_batch_us", {1.0});
+    shard = std::make_unique<Shard>(&shared_predictor(), &options, m);
+  }
+
+  /// Applies config updates to `slots`, one fresh condition each.
+  void update_configs(const std::vector<std::uint32_t>& slots, double time_s,
+                      double env_base_c) {
+    Shard::Run run;
+    for (const std::uint32_t slot : slots) {
+      mgmt::MonitoredConfig config = busy_config();
+      config.env_temp_c = env_base_c + slot;
+      run.events.push_back({TelemetryEvent::Type::kUpdateConfig, slot, time_s,
+                            30.0, static_cast<std::uint32_t>(run.configs.size())});
+      run.configs.push_back(
+          std::make_shared<const mgmt::MonitoredConfig>(std::move(config)));
+    }
+    shard->enqueue_run(std::move(run), nullptr);
+    shard->flush(/*drain_inline=*/true);
+  }
+};
+
+mgmt::MonitoredConfig condition_at(double env_temp_c) {
+  mgmt::MonitoredConfig config = busy_config();
+  config.env_temp_c = env_temp_c;
+  return config;
+}
+
+TEST(ConditionTableTest, HostsOnOneConditionShareOneEntry) {
+  ShardHarness h;
+  constexpr int kConditions = 3;
+  std::vector<std::uint32_t> slots;
+  for (int i = 0; i < 60; ++i) {
+    slots.push_back(h.shard->add_host("host-" + std::to_string(i),
+                                      condition_at(20.0 + i % kConditions),
+                                      0.0, 23.0));
+  }
+  EXPECT_EQ(h.shard->condition_count(), 3u);
+  // Restored hosts join the same entries.
+  for (HostSnapshot row : h.shard->sorted_snapshots()) {
+    row.host_id += "-copy";
+    h.shard->import_host(row);
+  }
+  EXPECT_EQ(h.shard->live_host_count(), 120u);
+  EXPECT_EQ(h.shard->condition_count(), 3u);
+  const std::vector<HostSnapshot> rows = h.shard->sorted_snapshots();
+  std::vector<const mgmt::MonitoredConfig*> distinct;
+  for (const HostSnapshot& row : rows) distinct.push_back(row.config.get());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_EQ(distinct.size(), 3u);
+}
+
+TEST(ConditionTableTest, ChurnLeavesNoUnusedEntry) {
+  ShardHarness h;
+  std::vector<std::uint32_t> slots;
+  for (int i = 0; i < 30; ++i) {
+    slots.push_back(h.shard->add_host("host-" + std::to_string(i),
+                                      condition_at(20.0 + i % 3), 0.0, 23.0));
+  }
+  // Replace every host by one on a new condition, round after round.
+  for (int round = 1; round <= 5; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      h.shard->remove_host(slots[i]);
+      slots[i] = h.shard->add_host(
+          "host-" + std::to_string(round) + "-" + std::to_string(i),
+          condition_at(20.0 + 3 * round + i % 3), 0.0, 23.0);
+    }
+    EXPECT_EQ(h.shard->condition_count(), 3u) << round;
+  }
+  for (const std::uint32_t slot : slots) h.shard->remove_host(slot);
+  EXPECT_EQ(h.shard->condition_count(), 0u);
+}
+
+TEST(ConditionTableTest, ConfigEventsDoNotGrowTheTableWithoutBound) {
+  // Hosts that move to a config event's condition leave their registered
+  // entry unused; it is swept once the table has doubled, so the table
+  // stays bounded however many rounds of churn run.
+  ShardHarness h;
+  std::vector<std::uint32_t> slots;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      slots.push_back(h.shard->add_host(
+          "host-" + std::to_string(round) + "-" + std::to_string(i),
+          condition_at(100.0 + 8 * round + i), 0.0, 23.0));
+    }
+    h.update_configs(
+        std::vector<std::uint32_t>(slots.end() - 8, slots.end()), 15.0,
+        30.0);
+    EXPECT_LE(h.shard->condition_count(), 64u) << round;
+  }
+  EXPECT_EQ(h.shard->live_host_count(), 320u);
+  EXPECT_EQ(h.registry.counter("apply.config_update").value(), 320u);
+}
+
+TEST(ConditionTableTest, ConfigOfIsBitwiseTheRegisteredOrLastApplied) {
+  FleetEngine engine(shared_predictor(), manual_options(1));
+  // 0.0 and -0.0 compare equal as values but are different conditions.
+  const HostHandle plus = engine.register_host("plus", condition_at(0.0), 0.0,
+                                               23.0);
+  const HostHandle minus =
+      engine.register_host("minus", condition_at(-0.0), 0.0, 23.0);
+  EXPECT_FALSE(std::signbit(engine.config_of(plus).env_temp_c));
+  EXPECT_TRUE(std::signbit(engine.config_of(minus).env_temp_c));
+  EXPECT_TRUE(mgmt::same_condition(engine.config_of(minus), condition_at(-0.0)));
+
+  // An applied update is adopted as sent: the host holds the event's own
+  // config, not a copy.
+  TelemetryEvent update =
+      TelemetryEvent::update_config(plus, 30.0, 31.0, idle_config());
+  const std::shared_ptr<const mgmt::MonitoredConfig> payload = update.config;
+  engine.ingest(std::move(update));
+  engine.flush();
+  EXPECT_TRUE(mgmt::same_condition(engine.config_of(plus), idle_config()));
+  const auto config_ptr = [&engine](const std::string& id) {
+    for (const HostSnapshot& row : engine.export_hosts()) {
+      if (row.host_id == id) return row.config.get();
+    }
+    return static_cast<const mgmt::MonitoredConfig*>(nullptr);
+  };
+  EXPECT_EQ(config_ptr("plus"), payload.get());
+
+  // A rejected update (time going backwards, or an invalid config) leaves
+  // the host's pointer as it was.
+  const mgmt::MonitoredConfig* before = config_ptr("minus");
+  engine.ingest(TelemetryEvent::update_config(minus, -5.0, 31.0, idle_config()));
+  mgmt::MonitoredConfig broken = idle_config();
+  broken.fans = 0;
+  engine.ingest(TelemetryEvent::update_config(minus, 30.0, 31.0, broken));
+  engine.flush();
+  EXPECT_EQ(engine.metrics().counter("apply.errors").value(), 2u);
+  EXPECT_EQ(config_ptr("minus"), before);
+  EXPECT_TRUE(std::signbit(engine.config_of(minus).env_temp_c));
+}
+
 // ψ_stable is resolved per drain chunk: pass 1 looks up every config
 // event of the chunk and evaluates the misses in one batched SVR call,
 // pass 2 applies the events in order. This stream puts cache hits, fresh
